@@ -1,0 +1,6 @@
+"""Run the CLI as `python -m nacflex`."""
+
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

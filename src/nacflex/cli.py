@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Verbs: nac, cut, rand, process, flex, experiment.  Exit codes: 0 on success,
-2 on precondition violations (including argument errors), 3 on I/O failures.
+2 on precondition violations (including argument errors, and a colouring for
+which `flex build` cannot sample separated base vectors), 3 on I/O failures.
+A search or sampler that runs out of its budget prints
+{"result": "budget-exceeded"} and exits 0.
 Budget flags on experiment verbs are wall-clock hints converted to
 deterministic search-node budgets (NODES_PER_MS nodes per millisecond), so
 identical seeds always give identical outputs.
@@ -76,11 +79,7 @@ def _cmd_nac_count(args) -> int:
 
 def _cmd_nac_find(args) -> int:
     g = load_graph(args.graph)
-    try:
-        c = _nac.nac_exists(g, node_budget=args.budget)
-    except BudgetExceeded:
-        _print_json({"result": "budget-exceeded"})
-        return 0
+    c = _nac.nac_exists(g, node_budget=args.budget)
     if c is None:
         _print_json({"result": "none"})
     else:
@@ -123,19 +122,15 @@ def _cmd_nac_stable_witness(args) -> int:
 def _cmd_cut(args) -> int:
     g = load_graph(args.graph)
     budget = args.budget if args.budget is not None else _cuts.DEFAULT_NODE_BUDGET
-    try:
-        if args.kind == "stable":
-            cert = _cuts.stable_cut_exists(g, node_budget=budget)
-        elif args.kind == "firm":
-            cert = _cuts.firm_cut_exists(g, node_budget=budget)
-        else:
-            holds, cert = _cuts.sprime_holds(g, node_budget=budget)
-            if holds:
-                _print_json({"result": "holds"})
-                return 0
-    except BudgetExceeded:
-        _print_json({"result": "budget-exceeded"})
-        return 0
+    if args.kind == "stable":
+        cert = _cuts.stable_cut_exists(g, node_budget=budget)
+    elif args.kind == "firm":
+        cert = _cuts.firm_cut_exists(g, node_budget=budget)
+    else:
+        holds, cert = _cuts.sprime_holds(g, node_budget=budget)
+        if holds:
+            _print_json({"result": "holds"})
+            return 0
     if cert is None:
         _print_json({"result": "none"})
     else:
@@ -196,7 +191,11 @@ def _cmd_process_trace(args) -> int:
 
 def _cmd_flex_build(args) -> int:
     c = load_colouring(args.colouring)
-    family = _flex.build_flex(c, RandomSource(args.seed, args.stream))
+    try:
+        family = _flex.build_flex(c, RandomSource(args.seed, args.stream))
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     thetas = [2.0 * np.pi * i / args.samples for i in range(args.samples)]
     positions = [
         [[float(p[0]), float(p[1])] for p in _flex.sample_positions(family, t)]
@@ -385,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except BudgetExceeded:
+        _print_json({"result": "budget-exceeded"})
+        return 0
     except (PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -271,20 +271,17 @@ def sprime_holds(
                 continue
             if full & ~s_mask & ~(1 << u) & ~(1 << v):
                 return False, _certificate(g, s_mask, "sprime-violation")
-    edge_masks = [(1 << a) | (1 << b) for a, b in g.edges]
     counter = [0, node_budget]
 
     def no_edge_can_remain(a_mask: int, na_mask: int) -> bool:
-        # frontier vertices end up in A or S, so only edges avoiding both A
-        # and the current N(A) can still land in the leftover side
-        avail = full & ~a_mask & ~na_mask
-        return not any(em & avail == em for em in edge_masks)
+        # frontier vertices end up in A or S, so only edges inside the set
+        # avoiding both A and the current N(A) can land in the leftover side
+        return _mask_is_stable(masks, full & ~a_mask & ~na_mask)
 
     for a_mask, s_mask in _iter_separators(n, masks, counter, prune=no_edge_can_remain):
         if not a_mask & (a_mask - 1):
             continue  # A must span an edge, so >= 2 vertices
-        rest = full & ~a_mask & ~s_mask
-        if any(em & rest == em for em in edge_masks):
+        if not _mask_is_stable(masks, full & ~a_mask & ~s_mask):
             return False, _certificate(g, s_mask, "sprime-violation")
     return True, None
 

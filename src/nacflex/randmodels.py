@@ -11,6 +11,7 @@ changing it is a breaking change.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -218,14 +219,24 @@ def hitting_times(
     node_budget: int = 500_000,
     check_identity: bool = False,
 ) -> HittingRecord:
-    """tau_conn and tau_T by incremental scan; tau_S and tau_N by binary search.
+    """tau_conn and tau_T by one incremental scan; tau_S and tau_N by galloping
+    up from tau_T, then bisecting the last gap.
 
     The searched properties are monotone: no-stable-cut (with the empty-cut
     convention) and connected-with-no-NAC-colouring.  Both are bracketed below
     by tau_T, which is sound because a graph with all vertices in triangles is
-    exactly where those properties can first appear (n >= 3).  With
-    check_identity, every probed step also cross-asserts that no-stable-cut
-    equals triangle-cover AND no-bad-cut.
+    exactly where those properties can first appear (n >= 3).  Each search
+    probes tau_T + 2^k - 1 for k = 0, 1, 2, ... (capped at C(n,2), where both
+    properties hold) and bisects between the last failing probe and the first
+    passing one.  The result is the same as a bisection over [tau_T, C(n,2)],
+    but the first probes land on the sparse prefixes near tau_T, where the
+    answer lies with high probability.
+
+    Each probed step builds its prefix graph once.  With check_identity,
+    every probed step also cross-asserts, exactly once, that no-stable-cut
+    equals triangle-cover AND no-bad-cut: `decompose_s`'s own stable-cut
+    search answers the tau_S probe, and the tau_N search reuses its result
+    at steps the tau_S search already probed.
     """
     n = trace.n
     if n < 3:
@@ -233,52 +244,57 @@ def hitting_times(
     edge_lists = [(u, v) for u, v in trace.pairs().tolist()]
     total = trace.total
 
+    # One pass finds both.  It cannot stop at tau_T: a prefix can put every
+    # vertex in a triangle and still be disconnected (two disjoint triangles).
+    full = (1 << n) - 1
     uf = UnionFind(n)
-    tau_conn = total
-    for t, (u, v) in enumerate(edge_lists):
-        uf.union(u, v)
-        if uf.count == 1:
-            tau_conn = t + 1
-            break
-
     adj = [0] * n
     in_tri = 0
-    covered = 0
-    tau_t = total
-    for t, (u, v) in enumerate(edge_lists):
-        common = adj[u] & adj[v]
-        if common:
-            newly = (common | (1 << u) | (1 << v)) & ~in_tri
-            if newly:
-                in_tri |= newly
-                covered += bin(newly).count("1")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        if covered == n:
-            tau_t = t + 1
+    tau_conn = tau_t = 0
+    for t, (u, v) in enumerate(edge_lists, 1):
+        if not tau_conn:
+            uf.union(u, v)
+            if uf.count == 1:
+                tau_conn = t
+        if not tau_t:
+            common = adj[u] & adj[v]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            if common:
+                in_tri |= common | (1 << u) | (1 << v)
+                if in_tri == full:
+                    tau_t = t
+        if tau_conn and tau_t:
             break
 
+    @functools.cache
     def prefix(t: int) -> Graph:
         return Graph.from_edges(n, edge_lists[:t])
 
+    @functools.cache
+    def decomposition(t: int) -> _cuts.SDecomposition:
+        return _cuts.decompose_s(prefix(t), node_budget=node_budget)
+
     def no_stable_cut(t: int) -> bool:
-        g = prefix(t)
-        cert = _cuts.stable_cut_exists(g, node_budget=node_budget)
         if check_identity:
-            _cuts.decompose_s(g, node_budget=node_budget)
-        return cert is None
+            return decomposition(t).in_S
+        return _cuts.stable_cut_exists(prefix(t), node_budget=node_budget) is None
 
     def nac_property(t: int) -> bool:
         g = prefix(t)
         if check_identity:
-            _cuts.decompose_s(g, node_budget=node_budget)
+            decomposition(t)
         if components(g).count != 1:
             return False
         return _nac.nac_exists(g, node_budget=node_budget) is None
 
-    def bisect(prop) -> int | None:
-        lo, hi = tau_t, total
+    def first_step(prop) -> int | None:
+        """Least t in [tau_T, total] with prop(t); prop(total) is taken as true."""
+        lo, hi = tau_t, tau_t
         try:
+            while hi < total and not prop(hi):
+                lo = hi + 1
+                hi = min(2 * hi - tau_t + 1, total)
             while lo < hi:
                 mid = (lo + hi) // 2
                 if prop(mid):
@@ -289,9 +305,9 @@ def hitting_times(
         except BudgetExceeded:
             return None
 
-    tau_s = bisect(no_stable_cut)
-    tau_n = bisect(nac_property)
-    return HittingRecord(tau_conn, tau_t, tau_s, tau_n)
+    return HittingRecord(
+        tau_conn, tau_t, first_step(no_stable_cut), first_step(nac_property)
+    )
 
 
 def regular_configuration(

@@ -195,7 +195,7 @@ def test_criterion_05_decision_oracle_equivalence():
 def test_criterion_06_hitting_ordering():
     """tau_T <= tau_S <= tau_N in 100% of 500 runs for each n in 8..30, with
     the no-stable-cut = triangle-cover AND no-bad-cut identity cross-asserted
-    at every binary-search probe."""
+    at every probed step."""
     start = time.perf_counter()
     res = hitting_equality_experiment(
         tuple(range(8, 31)), 500, SEED, check_identity=True

@@ -1,5 +1,12 @@
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import nacflex
+from nacflex import flex, nac
 from nacflex.cli import main
 from nacflex.graphs import complete_bipartite, cycle_graph, path_graph, save_graph
 from nacflex.nac import Colour, EdgeColouring
@@ -111,6 +118,48 @@ class TestRandProcessFlex:
         assert len(data["theta"]) == 16 and len(data["positions"]) == 16
         assert len(data["positions"][0]) == 4
         assert data["report"]["max_edge_drift"] < 1e-9
+
+
+    def test_flex_build_sampling_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        cpath = tmp_path / "c.json"
+        write_colouring(cpath, EdgeColouring.from_red_edges(cycle_graph(4), [(0, 1), (2, 3)]))
+        monkeypatch.setattr(flex, "_min_pairwise_distance", lambda points: 0.0)
+        code, out, err = run(capsys, "flex", "build", str(cpath), "--seed", "3")
+        assert code == 2 and out == ""
+        assert "could not sample separated base vectors" in err
+
+
+class TestBudgetExceeded:
+    def test_nac_searches_report_budget_exceeded(self, tmp_path, capsys, monkeypatch):
+        # a 25-vertex path has 2^24 - 2 NAC-colourings; a small budget keeps
+        # the count and enumeration from running through the default 2M nodes
+        monkeypatch.setattr(
+            nac, "nac_enumerate", functools.partial(nac.nac_enumerate, node_budget=1000)
+        )
+        gpath = tmp_path / "p25.txt"
+        save_graph(path_graph(25), gpath)
+        for argv in (("count",), ("enumerate",), ("find", "--budget", "1")):
+            code, out, err = run(capsys, "nac", argv[0], str(gpath), *argv[1:])
+            assert code == 0 and err == ""
+            assert json.loads(out) == {"result": "budget-exceeded"}
+
+    def test_rand_regular_reports_budget_exceeded(self, capsys):
+        code, out, _ = run(
+            capsys, "rand", "regular", "--n", "12", "--k", "3", "--seed", "1",
+            "--max-rejects", "0",
+        )
+        assert code == 0 and json.loads(out) == {"result": "budget-exceeded"}
+
+
+def test_python_m_nacflex():
+    src = str(Path(nacflex.__file__).parent.parent)
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nacflex", "process", "trace", "--n", "6", "--seed", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n"] == 6
 
 
 class TestExperimentCommands:

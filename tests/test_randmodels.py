@@ -6,8 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nacflex import cuts
+from nacflex.cuts import decompose_s, stable_cut_exists
 from nacflex.errors import BudgetExceeded
-from nacflex.graphs import complete_graph
+from nacflex.graphs import complete_graph, components
+from nacflex.nac import nac_exists
 from nacflex.randmodels import (
     RandomSource,
     all_edges_array,
@@ -167,29 +170,64 @@ class TestHitting:
                 assert rec.tau_T <= rec.tau_S <= rec.tau_N
                 assert rec.tau_conn <= rec.tau_N
 
-    def test_binary_search_matches_linear_scan(self):
-        from nacflex.cuts import stable_cut_exists
-        from nacflex.graphs import components
-        from nacflex.nac import nac_exists
-
+    def test_gallop_matches_linear_scan(self):
         src = RandomSource(78)
         for n in (8, 10, 12):
             for trial in range(6):
                 tr = process(n, src.derive(n, trial))
-                rec = hitting_times(tr)
-                tau_s = next(
-                    t
-                    for t in range(rec.tau_T, tr.total + 1)
-                    if stable_cut_exists(tr.prefix_graph(t)) is None
-                )
-                tau_n = next(
-                    t
-                    for t in range(rec.tau_T, tr.total + 1)
-                    if components(tr.prefix_graph(t)).count == 1
-                    and nac_exists(tr.prefix_graph(t)) is None
-                )
-                assert rec.tau_S == tau_s
-                assert rec.tau_N == tau_n
+                expect = _linear_scan(tr, hitting_times(tr).tau_T)
+                for check_identity in (False, True):
+                    rec = hitting_times(tr, check_identity=check_identity)
+                    assert (rec.tau_S, rec.tau_N) == expect
+
+    def test_gallop_reaches_the_cap(self, monkeypatch):
+        # Two cliques {0,1,2} and {0,3..11} glued at the cut vertex 0 cover
+        # every vertex by triangles at step 17, and {0} stays a stable cut
+        # until the first cross edge, step 49 of 66.  The offsets 0, 1, 3, ...,
+        # 31 all fail, offset 63 is capped at 66, and the gap (48, 66] is
+        # bisected.
+        n = 12
+        index = {e: k for k, e in enumerate(itertools.combinations(range(n), 2))}
+        first = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6),
+                 (5, 6), (0, 7), (0, 8), (7, 8), (0, 9), (0, 10), (9, 10),
+                 (0, 11), (10, 11)]
+        b_side = [e for e in itertools.combinations(range(3, n), 2) if e not in first]
+        cross = [(a, b) for a in (1, 2) for b in range(3, n)]
+        tr = replay_trace(n, [index[e] for e in first + b_side + cross])
+        probed = []
+
+        def record(g, **kw):
+            probed.append(g.m)
+            return stable_cut_exists(g, **kw)
+
+        monkeypatch.setattr(cuts, "stable_cut_exists", record)
+        rec = hitting_times(tr)
+        assert (rec.tau_T, rec.tau_S) == (17, 49)
+        assert probed[:6] == [17, 18, 20, 24, 32, 48]
+        assert all(48 < t < tr.total for t in probed[6:]) and probed[6:]
+        assert (rec.tau_S, rec.tau_N) == _linear_scan(tr, rec.tau_T)
+
+    def test_identity_check_runs_once_per_probed_step(self, monkeypatch):
+        decomposed, searched = Counter(), Counter()
+
+        def count_decompose(g, **kw):
+            decomposed[g.m] += 1
+            return decompose_s(g, **kw)
+
+        def count_search(g, **kw):
+            searched[g.m] += 1
+            return stable_cut_exists(g, **kw)
+
+        monkeypatch.setattr(cuts, "decompose_s", count_decompose)
+        monkeypatch.setattr(cuts, "stable_cut_exists", count_search)
+        src = RandomSource(81)
+        for n in (8, 12, 16):
+            for trial in range(5):
+                decomposed.clear()
+                searched.clear()
+                hitting_times(process(n, src.derive(n, trial)), check_identity=True)
+                assert decomposed and set(decomposed.values()) == {1}
+                assert searched == decomposed
 
     def test_budget_propagates(self):
         rec = hitting_times(process(12, RandomSource(79)), node_budget=1)
@@ -199,6 +237,22 @@ class TestHitting:
     def test_identity_check_runs(self):
         rec = hitting_times(process(10, RandomSource(80)), check_identity=True)
         assert rec.tau_T <= rec.tau_S <= rec.tau_N
+
+
+def _linear_scan(tr, tau_t):
+    """(tau_S, tau_N) by testing every step from tau_T upwards."""
+    tau_s = next(
+        t
+        for t in range(tau_t, tr.total + 1)
+        if stable_cut_exists(tr.prefix_graph(t)) is None
+    )
+    tau_n = next(
+        t
+        for t in range(tau_t, tr.total + 1)
+        if components(tr.prefix_graph(t)).count == 1
+        and nac_exists(tr.prefix_graph(t)) is None
+    )
+    return tau_s, tau_n
 
 
 class TestRegularConfiguration:
