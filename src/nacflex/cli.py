@@ -4,10 +4,9 @@ Verbs: nac, cut, rand, process, flex, experiment.  Exit codes: 0 on success,
 2 on precondition violations (including argument errors, and a colouring for
 which `flex build` cannot sample separated base vectors), 3 on I/O failures.
 A search or sampler that runs out of its budget prints
-{"result": "budget-exceeded"} and exits 0.
-Budget flags on experiment verbs are wall-clock hints converted to
-deterministic search-node budgets (NODES_PER_MS nodes per millisecond), so
-identical seeds always give identical outputs.
+{"result": "budget-exceeded"} and exits 0.  Every `--budget` flag is a
+search-node count (default DEFAULT_NODE_BUDGET), so identical seeds always
+give identical outputs.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from . import cuts as _cuts
 from . import experiments as _exp
 from . import flex as _flex
 from . import nac as _nac
-from .errors import BudgetExceeded, PreconditionError
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
 from .graphs import graph_to_json_dict, load_graph, save_graph
 from .nac import Colour, load_colouring
 from .randmodels import (
@@ -34,25 +33,8 @@ from .randmodels import (
     regular_configuration,
 )
 
-NODES_PER_MS = 1000
-
-
-def _budget_from_ms(ms: int | None, default: int) -> int:
-    return default if ms is None else max(1, ms) * NODES_PER_MS
-
-
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
-
-
-def _emit_or_print(result, args) -> None:
-    if args.out:
-        _exp.emit(result, args.format, args.out)
-    else:
-        if args.format == "csv":
-            sys.stdout.write(result.to_csv())
-        else:
-            _print_json(result.to_json_dict())
 
 
 # -- nac -------------------------------------------------------------------------
@@ -121,13 +103,12 @@ def _cmd_nac_stable_witness(args) -> int:
 
 def _cmd_cut(args) -> int:
     g = load_graph(args.graph)
-    budget = args.budget if args.budget is not None else _cuts.DEFAULT_NODE_BUDGET
     if args.kind == "stable":
-        cert = _cuts.stable_cut_exists(g, node_budget=budget)
+        cert = _cuts.stable_cut_exists(g, node_budget=args.budget)
     elif args.kind == "firm":
-        cert = _cuts.firm_cut_exists(g, node_budget=budget)
+        cert = _cuts.firm_cut_exists(g, node_budget=args.budget)
     else:
-        holds, cert = _cuts.sprime_holds(g, node_budget=budget)
+        holds, cert = _cuts.sprime_holds(g, node_budget=args.budget)
         if holds:
             _print_json({"result": "holds"})
             return 0
@@ -171,8 +152,7 @@ def _cmd_rand(args) -> int:
 def _cmd_process_trace(args) -> int:
     src = RandomSource(args.seed, args.stream)
     trace = process(args.n, src)
-    budget = args.budget if args.budget is not None else 500_000
-    rec = hitting_times(trace, node_budget=budget)
+    rec = hitting_times(trace, node_budget=args.budget)
     _print_json(
         {
             "n": args.n,
@@ -227,10 +207,10 @@ def _cmd_experiment_sweep(args) -> int:
         c_values=tuple(args.c),
         trials=args.trials,
         master_seed=args.seed,
-        node_budget=_budget_from_ms(args.budget_ms, _exp.DEFAULT_NODE_BUDGET),
+        node_budget=args.budget,
     )
     result = _exp.run_sweep(spec, workers=args.workers, force=args.force)
-    _emit_or_print(result, args)
+    _exp.emit(result, args.format, args.out)
     return 0
 
 
@@ -239,10 +219,10 @@ def _cmd_experiment_hitting(args) -> int:
         tuple(args.n),
         args.trials,
         args.seed,
-        node_budget=_budget_from_ms(args.budget_ms, _exp.DEFAULT_NODE_BUDGET),
+        node_budget=args.budget,
         workers=args.workers,
     )
-    _emit_or_print(result, args)
+    _exp.emit(result, args.format, args.out)
     return 0
 
 
@@ -250,7 +230,7 @@ def _cmd_experiment_regular_nac(args) -> int:
     result = _exp.regular_nac_lower_bound(
         args.n, args.k, args.trials, args.seed, workers=args.workers
     )
-    _emit_or_print(result, args)
+    _exp.emit(result, args.format, args.out)
     return 0
 
 
@@ -279,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = nac_sub.add_parser("find", help="find one NAC-colouring")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=_nac.DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_nac_find)
 
     p = nac_sub.add_parser("enumerate", help="list NAC-colourings")
@@ -303,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cut", help="stable/firm cut decisions")
     p.add_argument("kind", choices=["stable", "firm", "sprime"])
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_cut)
 
     p = sub.add_parser("rand", help="random graph generators")
@@ -325,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_process_trace)
 
     p_flex = sub.add_parser("flex", help="flexible realisations")
@@ -346,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, nargs="+", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget-ms", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--workers", type=int, default=1)
@@ -357,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget-ms", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--workers", type=int, default=1)

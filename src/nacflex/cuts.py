@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, PreconditionError
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
 from .graphs import (
     Graph,
     as_vertex_set,
@@ -42,10 +42,7 @@ __all__ = [
     "stable_cut_exists_exhaustive",
     "firm_cut_exists_exhaustive",
     "sprime_violation_exhaustive",
-    "DEFAULT_NODE_BUDGET",
 ]
-
-DEFAULT_NODE_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)

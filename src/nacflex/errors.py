@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the default search budget."""
+
+# Default node budget of every bounded search, in the library and the CLI.
+DEFAULT_NODE_BUDGET = 500_000
 
 
 class BudgetExceeded(RuntimeError):

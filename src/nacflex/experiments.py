@@ -9,17 +9,20 @@ thresholded at each p, which turns monotone trends into per-trial facts.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .cuts import decompose_s, sprime_holds, stable_cut_exists
-from .errors import BudgetExceeded, PreconditionError
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
 from .graphs import Graph, every_vertex_in_triangle
 from .nac import EdgeColouring, nac_check, nac_exists
 from .randmodels import (
@@ -61,8 +64,6 @@ N_CEILINGS = {
     "N": 30,
 }
 
-DEFAULT_NODE_BUDGET = 500_000
-
 _TAG_SWEEP = 0x53574550
 _TAG_HITTING = 0x48495454
 _TAG_REGULAR = 0x52454743
@@ -73,6 +74,7 @@ _TAG_REGULAR = 0x52454743
 _BITSET_N_LIMIT = 8192
 
 
+# Not triangle_apexes: at n=2000 this bitset took 19 ms, a Graph and its apexes 129 ms.
 def triangle_covered(n: int, pairs: np.ndarray) -> bool:
     """True iff every vertex lies in a triangle (vectorised bitset check)."""
     if n == 0:
@@ -130,6 +132,36 @@ def _decide(prop: str, n: int, pairs: np.ndarray, node_budget: int) -> bool:
     raise ValueError(f"unknown property {prop!r}")
 
 
+# -- result tables and the parallel map -----------------------------------------
+
+
+class _Table:
+    """An experiment result: its fields, and `rows` of flat dataclasses whose
+    field names, in order, make up the class's CSV_HEADER."""
+
+    def to_csv(self) -> str:
+        lines = [self.CSV_HEADER]
+        lines += [",".join(repr(x) for x in vars(r).values()) for r in self.rows]
+        return "\n".join(lines) + "\n"
+
+    def to_json_dict(self) -> dict:
+        return vars(self) | {"rows": [vars(r) | {} for r in self.rows]}
+
+
+def _map(fn, tasks: list[tuple], workers: int) -> list:
+    """[fn(*task) for task in tasks], on at most `workers` processes.
+
+    The pool never exceeds the task or CPU count, because it forks all of
+    its processes up front.
+    """
+    procs = min(workers, len(tasks), os.cpu_count() or 1)
+    if procs <= 1:
+        return [fn(*task) for task in tasks]
+    chunksize = max(1, len(tasks) // (4 * procs))
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=chunksize))
+
+
 # -- threshold sweeps -----------------------------------------------------------
 
 
@@ -175,39 +207,12 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Table):
     property: str
     master_seed: int
     rows: tuple[SweepRow, ...]
 
-    CSV_HEADER = "n,c,p,trials,successes,budget_exceeded,wall_ms"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{r.c!r},{r.p!r},{r.trials},{r.successes},"
-                f"{r.budget_exceeded},{r.wall_ms}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "master_seed": self.master_seed,
-            "rows": [
-                {
-                    "n": r.n,
-                    "c": r.c,
-                    "p": r.p,
-                    "trials": r.trials,
-                    "successes": r.successes,
-                    "budget_exceeded": r.budget_exceeded,
-                    "wall_ms": r.wall_ms,
-                }
-                for r in self.rows
-            ],
-        }
+    CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def sweep_trial_outcomes(
@@ -238,34 +243,14 @@ def sweep_trial_outcomes(
     return out
 
 
-def _sweep_task(args: tuple) -> list[tuple[bool, bool, float]]:
-    spec_fields, n_index, trial = args
-    return sweep_trial_outcomes(SweepSpec(*spec_fields), n_index, trial)
-
-
-def _spec_fields(spec: SweepSpec) -> tuple:
-    return (
-        spec.property,
-        spec.n_values,
-        spec.c_values,
-        spec.trials,
-        spec.master_seed,
-        spec.node_budget,
-    )
-
-
 def run_sweep(spec: SweepSpec, *, workers: int = 1, force: bool = False) -> SweepResult:
     spec.validate(force=force)
     tasks = [
-        (_spec_fields(spec), ni, trial)
+        (spec, ni, trial)
         for ni in range(len(spec.n_values))
         for trial in range(spec.trials)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, tasks, chunksize=8))
-    else:
-        results = [_sweep_task(t) for t in tasks]
+    results = _map(sweep_trial_outcomes, tasks, workers)
     rows = []
     for ni, n in enumerate(spec.n_values):
         per_trial = results[ni * spec.trials : (ni + 1) * spec.trials]
@@ -306,34 +291,16 @@ class HittingRow:
 
 
 @dataclass(frozen=True)
-class HittingResult:
+class HittingResult(_Table):
     master_seed: int
     rows: tuple[HittingRow, ...]
 
-    CSV_HEADER = (
-        "n,trials,eq_s,eq_n,frac_s_eq_t,frac_n_eq_t,se_s,se_n,"
-        "ordering_violations,budget_exceeded,wall_ms"
-    )
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{r.trials},{r.eq_s},{r.eq_n},{r.frac_s_eq_t!r},"
-                f"{r.frac_n_eq_t!r},{r.se_s!r},{r.se_n!r},"
-                f"{r.ordering_violations},{r.budget_exceeded},{r.wall_ms}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "rows": [vars(r) | {} for r in self.rows],
-        }
+    CSV_HEADER = ",".join(f.name for f in fields(HittingRow))
 
 
-def _hitting_task(args: tuple) -> tuple[int, int, int | None, int | None, float]:
-    n, ni, trial, master_seed, node_budget, check_identity = args
+def _hitting_task(
+    n: int, ni: int, trial: int, master_seed: int, node_budget: int, check_identity: bool
+) -> tuple[int, int, int | None, int | None, float]:
     src = RandomSource(master_seed).derive(_TAG_HITTING, ni, trial)
     start = time.perf_counter()
     rec = hitting_times(
@@ -366,11 +333,7 @@ def hitting_equality_experiment(
         for ni, n in enumerate(n_values)
         for trial in range(trials)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_hitting_task, tasks, chunksize=4))
-    else:
-        results = [_hitting_task(t) for t in tasks]
+    results = _map(_hitting_task, tasks, workers)
     rows = []
     for ni, n in enumerate(n_values):
         recs = results[ni * trials : (ni + 1) * trials]
@@ -414,30 +377,13 @@ class RegularNacRow:
 
 
 @dataclass(frozen=True)
-class RegularNacResult:
+class RegularNacResult(_Table):
     n: int
     k: int
     master_seed: int
     rows: tuple[RegularNacRow, ...]
 
-    CSV_HEADER = "trial,x_size,s_size,colourings_checked,nac_failures,rejects"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.trial},{r.x_size},{r.s_size},{r.colourings_checked},"
-                f"{r.nac_failures},{r.rejects}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "master_seed": self.master_seed,
-            "rows": [vars(r) | {} for r in self.rows],
-        }
+    CSV_HEADER = ",".join(f.name for f in fields(RegularNacRow))
 
 
 def _ball_mask(masks: tuple[int, ...], v: int, radius: int) -> int:
@@ -455,8 +401,9 @@ def _ball_mask(masks: tuple[int, ...], v: int, radius: int) -> int:
     return ball
 
 
-def _regular_nac_trial(args: tuple) -> RegularNacRow:
-    n, k, trial, master_seed, subset_cap, max_rejects = args
+def _regular_nac_trial(
+    n: int, k: int, trial: int, master_seed: int, subset_cap: int, max_rejects: int
+) -> RegularNacRow:
     src = RandomSource(master_seed).derive(_TAG_REGULAR, trial)
     g, rejects = regular_configuration(n, k, src, max_rejects=max_rejects)
     masks = g.adjacency_masks
@@ -533,27 +480,25 @@ def regular_nac_lower_bound(
     if (n * k) % 2 != 0:
         raise PreconditionError(f"n*k must be even, got n={n}, k={k}")
     tasks = [(n, k, t, master_seed, subset_cap, max_rejects) for t in range(trials)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_regular_nac_trial, tasks, chunksize=1))
-    else:
-        rows = [_regular_nac_trial(t) for t in tasks]
+    rows = _map(_regular_nac_trial, tasks, workers)
     return RegularNacResult(n, k, master_seed, tuple(rows))
 
 
 # -- emission --------------------------------------------------------------------
 
 
-def emit(result, fmt: str, path: str | Path) -> None:
-    """Write an experiment result as CSV or JSON (full precision, trailing newline)."""
-    import json as _json
-
+def emit(result: _Table, fmt: str, path: str | Path | None = None) -> None:
+    """Write an experiment result as CSV or JSON (full precision, trailing
+    newline) to `path`, or to stdout when no path is given."""
     if fmt not in ("csv", "json"):
         raise PreconditionError(f"format must be 'csv' or 'json', got {fmt!r}")
     if fmt == "csv":
         text = result.to_csv()
     else:
-        text = _json.dumps(result.to_json_dict(), indent=2) + "\n"
+        text = json.dumps(result.to_json_dict(), indent=2) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         Path(path).write_text(text)
     except OSError as exc:

@@ -25,6 +25,7 @@ __all__ = [
     "induced_delete",
     "is_stable",
     "every_vertex_in_triangle",
+    "triangle_apexes",
     "triangle_count",
     "bipartition",
     "as_vertex_set",
@@ -196,6 +197,7 @@ def is_stable(g: Graph, s: Iterable[int]) -> bool:
     return all(masks[v] & mask == 0 for v in s_set)
 
 
+# Not triangle_apexes: this scan needs no bitmasks and stops at the first uncovered vertex.
 def every_vertex_in_triangle(g: Graph) -> tuple[bool, int | None]:
     """True iff each vertex has two adjacent neighbours; else (False, witness).
 
@@ -225,26 +227,19 @@ def _sorted_intersects(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return False
 
 
+def triangle_apexes(g: Graph) -> list[int]:
+    """Per edge (u, v) in edge order, the common neighbours w > v as a
+    bitmask shifted down by v + 1 (bit i stands for vertex v + 1 + i).
+
+    Each triangle u < v < w appears exactly once, at its edge (u, v).
+    """
+    masks = g.adjacency_masks
+    return [(masks[u] & masks[v]) >> (v + 1) for u, v in g.edges]
+
+
 def triangle_count(g: Graph) -> int:
-    """Number of triangles, via common-neighbour merge scan per edge."""
-    adj = g.adjacency
-    total = 0
-    for u, v in g.edges:
-        # count common neighbours above v so each triangle is seen once
-        a, b = adj[u], adj[v]
-        i = j = 0
-        while i < len(a) and j < len(b):
-            x, y = a[i], b[j]
-            if x == y:
-                if x > v:
-                    total += 1
-                i += 1
-                j += 1
-            elif x < y:
-                i += 1
-            else:
-                j += 1
-    return total
+    """Number of triangles: the apex bits of triangle_apexes."""
+    return sum(apexes.bit_count() for apexes in triangle_apexes(g))
 
 
 def bipartition(g: Graph) -> BipartitionResult:

@@ -22,7 +22,12 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
 
-from .errors import BudgetExceeded, CycleSpaceTooLarge, PreconditionError
+from .errors import (
+    DEFAULT_NODE_BUDGET,
+    BudgetExceeded,
+    CycleSpaceTooLarge,
+    PreconditionError,
+)
 from .graphs import (
     ComponentLabelling,
     Graph,
@@ -32,6 +37,7 @@ from .graphs import (
     graph_to_json_dict,
     is_stable,
     labelling_from_unionfind,
+    triangle_apexes,
 )
 from .twosat import TwoSat
 from .unionfind import RollbackUnionFind, UnionFind
@@ -56,11 +62,9 @@ __all__ = [
     "stable_witnesses",
     "bipartite_stable_nac",
     "monochromatic_cover_stats",
-    "DEFAULT_NODE_BUDGET",
     "MAX_ENUM_CLASSES",
 ]
 
-DEFAULT_NODE_BUDGET = 2_000_000
 MAX_ENUM_CLASSES = 26
 
 
@@ -370,30 +374,16 @@ def nac_check_oracle(c: EdgeColouring, max_dim: int = 16) -> bool:
 def triangle_classes(g: Graph) -> TriangleClasses:
     """Union-find over edges, merging the three edges of each triangle."""
     uf = UnionFind(g.m)
-    adj = g.adjacency
-    for i, (u, v) in enumerate(g.edges):
-        a, b = adj[u], adj[v]
-        ai = bi = 0
-        while ai < len(a) and bi < len(b):
-            x, y = a[ai], b[bi]
-            if x == y:
-                if x > v:
-                    uf.union(i, g.index_of(u, x))
-                    uf.union(i, g.index_of(v, x))
-                ai += 1
-                bi += 1
-            elif x < y:
-                ai += 1
-            else:
-                bi += 1
-    ids: dict[int, int] = {}
-    class_of = []
-    for e in range(g.m):
-        root = uf.find(e)
-        if root not in ids:
-            ids[root] = len(ids)
-        class_of.append(ids[root])
-    return TriangleClasses(tuple(class_of), len(ids))
+    index = g.edge_index
+    for i, ((u, v), apexes) in enumerate(zip(g.edges, triangle_apexes(g))):
+        while apexes:
+            low = apexes & -apexes
+            x = v + low.bit_length()
+            apexes ^= low
+            uf.union(i, index[u, x])
+            uf.union(i, index[v, x])
+    lab = labelling_from_unionfind(uf, g.m)
+    return TriangleClasses(lab.labels, lab.count)
 
 
 def _iter_class_assignments(g: Graph, class_lists: list[list[int]], order: list[int],

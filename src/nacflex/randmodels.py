@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cuts as _cuts
 from . import nac as _nac
-from .errors import BudgetExceeded
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded
 from .graphs import Graph, components
 from .unionfind import UnionFind
 
@@ -216,7 +216,7 @@ class HittingRecord:
 def hitting_times(
     trace: ProcessTrace,
     *,
-    node_budget: int = 500_000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     check_identity: bool = False,
 ) -> HittingRecord:
     """tau_conn and tau_T by one incremental scan; tau_S and tau_N by galloping
@@ -246,6 +246,8 @@ def hitting_times(
 
     # One pass finds both.  It cannot stop at tau_T: a prefix can put every
     # vertex in a triangle and still be disconnected (two disjoint triangles).
+    # The scan is incremental because tau_T is a first step: the static
+    # triangle_apexes kernel would rebuild every prefix.
     full = (1 << n) - 1
     uf = UnionFind(n)
     adj = [0] * n

@@ -4,6 +4,7 @@ Tolerances are fixed here, not calibrated.  Run with -s to see the lines for
 passing criteria too.  Master seed 20260808 throughout.
 """
 
+import functools
 import json
 import math
 import random
@@ -41,7 +42,7 @@ from nacflex.nac import (
     nac_exists,
     stable_witnesses,
 )
-from nacflex.randmodels import RandomSource, regular_configuration
+from nacflex.randmodels import RandomSource, p_star, regular_configuration
 
 from conftest import (
     atlas_connected,
@@ -233,6 +234,29 @@ def test_criterion_07_hitting_equality_trend():
     report("7 hitting-equality trend", ok, "; ".join(detail) + f"; {elapsed:.0f}s")
 
 
+@functools.cache
+def _criterion_08_fractions() -> dict[float, float]:
+    """Observed triangle-cover fractions of criterion 8's one sweep."""
+    spec = SweepSpec("T", (2000,), (0.8, 1.0, 1.3), 200, SEED)
+    res = run_sweep(spec)
+    return {row.c: row.successes / row.trials for row in res.rows}
+
+
+def _exact_cover_probability(n: int, p: float) -> float:
+    """exp(-E) with E = n * sum_d P(D=d) (1-p)^C(d,2), D ~ Bin(n-1, p): the
+    Poisson prediction from the exact expected number of triangle-free
+    vertices."""
+    log_q = math.log1p(-p)
+    expected = n * sum(
+        math.exp(
+            math.lgamma(n) - math.lgamma(d + 1) - math.lgamma(n - d)
+            + d * math.log(p) + (n - 1 - d) * log_q + d * (d - 1) / 2 * log_q
+        )
+        for d in range(n)
+    )
+    return math.exp(-expected)
+
+
 def test_criterion_08_triangle_threshold_sharpness():
     """Triangle-cover probability at n=2000, 200 trials: <= 0.05 at c=0.8,
     >= 0.95 at c=1.3, and within [0.28, 0.45] at c=1.0.
@@ -243,9 +267,7 @@ def test_criterion_08_triangle_threshold_sharpness():
     Pr ~ 0.90 < 0.95); the stated windows came from a heuristic that ignores
     degree fluctuation.  See the decisions ledger.  Asserted as stated.
     """
-    spec = SweepSpec("T", (2000,), (0.8, 1.0, 1.3), 200, SEED)
-    res = run_sweep(spec)
-    frac = {row.c: row.successes / row.trials for row in res.rows}
+    frac = _criterion_08_fractions()
     legs = {
         "c=0.8<=0.05": frac[0.8] <= 0.05,
         "c=1.0 in [0.28,0.45]": 0.28 <= frac[1.0] <= 0.45,
@@ -258,6 +280,23 @@ def test_criterion_08_triangle_threshold_sharpness():
         "c=1.0 and c=1.3 windows are unattainable at n=2000 (exact "
         "uncovered-vertex expectations 9.85 and 0.103 vs heuristic 1.01 and "
         "0.0001); see decisions ledger",
+    )
+
+
+def test_criterion_08_matches_exact_prediction():
+    """Criterion 8's observed fractions lie within 4 binomial standard errors
+    of exp(-E), E the exact expected number of triangle-free vertices
+    (DECISIONS.md); reuses criterion 8's sweep."""
+    frac = _criterion_08_fractions()
+    legs = {}
+    for c, observed in frac.items():
+        predicted = _exact_cover_probability(2000, c * p_star(2000))
+        se = math.sqrt(predicted * (1 - predicted) / 200)
+        legs[c] = (observed, predicted, abs(observed - predicted) <= 4 * se)
+    report(
+        "8 exact prediction",
+        all(ok for _, _, ok in legs.values()),
+        "; ".join(f"c={c}: observed {o} predicted {p:.3g}" for c, (o, p, _) in legs.items()),
     )
 
 

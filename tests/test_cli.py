@@ -132,7 +132,7 @@ class TestRandProcessFlex:
 class TestBudgetExceeded:
     def test_nac_searches_report_budget_exceeded(self, tmp_path, capsys, monkeypatch):
         # a 25-vertex path has 2^24 - 2 NAC-colourings; a small budget keeps
-        # the count and enumeration from running through the default 2M nodes
+        # the count and enumeration from running through the default budget
         monkeypatch.setattr(
             nac, "nac_enumerate", functools.partial(nac.nac_enumerate, node_budget=1000)
         )
@@ -174,6 +174,20 @@ class TestExperimentCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,c,p,trials,successes,budget_exceeded,wall_ms"
         assert len(lines) == 3
+
+    def test_sweep_budget_is_nodes(self, capsys):
+        argv = ("experiment", "sweep", "--property", "S", "--n", "12", "--c", "1.5",
+                "--trials", "4", "--seed", "3")
+        rows = {}
+        for budget in ("1", "500000"):
+            code, out, _ = run(capsys, *argv, "--budget", budget)
+            assert code == 0
+            rows[budget] = out.splitlines()[1].split(",")
+        # successes, budget_exceeded
+        assert rows["1"][4:6] == ["0", "4"]
+        assert rows["500000"][4:6] == ["3", "0"]
+        _, default, _ = run(capsys, *argv)
+        assert default.splitlines()[1].split(",")[:6] == rows["500000"][:6]
 
     def test_exit_code_precondition(self, capsys):
         code, _, err = run(

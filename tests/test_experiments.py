@@ -5,11 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nacflex import experiments
 from nacflex.errors import PreconditionError
 from nacflex.experiments import (
     HittingResult,
+    HittingRow,
     RegularNacResult,
+    RegularNacRow,
     SweepResult,
+    SweepRow,
     SweepSpec,
     edges_connected,
     emit,
@@ -88,6 +92,32 @@ class TestSweep:
         seq = run_sweep(spec, workers=1)
         par = run_sweep(spec, workers=2)
         assert strip_wall(seq) == strip_wall(par)
+
+    def test_pool_never_exceeds_tasks_or_cpus(self, monkeypatch):
+        # the pool forks all of its processes up front, so its size is recorded
+        # on a stand-in that runs the tasks in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        spec = SweepSpec("Connected", (30,), (1.0,), 2, 5)
+        assert strip_wall(run_sweep(spec, workers=5000)) == strip_wall(run_sweep(spec))
+        hitting_equality_experiment((6,), 9, 7, workers=5000)
+        regular_nac_lower_bound(106, 4, 1, 42, workers=5000)
+        assert sizes == [2, 4]
 
     def test_cut_properties_run(self):
         for prop in ("S", "Sprime", "NoStableCut", "N"):
@@ -194,6 +224,32 @@ class TestEmit:
     def test_io_error_context(self, tmp_path):
         with pytest.raises(OSError, match="could not write"):
             emit(SweepResult("T", 1, ()), "csv", tmp_path / "nope" / "out.csv")
+
+    def test_csv_rows_golden(self):
+        sweep = SweepResult("T", 1, (SweepRow(30, 1.0, 0.125, 5, 2, 1, 7),))
+        assert sweep.to_csv() == (
+            "n,c,p,trials,successes,budget_exceeded,wall_ms\n30,1.0,0.125,5,2,1,7\n"
+        )
+        hit = HittingResult(1, (HittingRow(8, 3, 1, 2, 1 / 3, 2 / 3, 0.25, 0.5, 0, 0, 12),))
+        assert hit.to_csv() == (
+            "n,trials,eq_s,eq_n,frac_s_eq_t,frac_n_eq_t,se_s,se_n,"
+            "ordering_violations,budget_exceeded,wall_ms\n"
+            "8,3,1,2,0.3333333333333333,0.6666666666666666,0.25,0.5,0,0,12\n"
+        )
+        reg = RegularNacResult(106, 4, 1, (RegularNacRow(0, 11, 10, 100, 0, 3),))
+        assert reg.to_csv() == (
+            "trial,x_size,s_size,colourings_checked,nac_failures,rejects\n"
+            "0,11,10,100,0,3\n"
+        )
+        assert reg.to_json_dict() == {
+            "n": 106,
+            "k": 4,
+            "master_seed": 1,
+            "rows": [
+                {"trial": 0, "x_size": 11, "s_size": 10, "colourings_checked": 100,
+                 "nac_failures": 0, "rejects": 3}
+            ],
+        }
 
     def test_hitting_and_regular_csv(self, tmp_path):
         hit = hitting_equality_experiment((3,), 4, 2)

@@ -20,6 +20,7 @@ from nacflex.graphs import (
     is_stable,
     parse_edge_list,
     path_graph,
+    triangle_apexes,
     triangle_count,
 )
 
@@ -138,6 +139,20 @@ class TestTriangleCover:
             assert ok == expected
             if not ok:
                 assert not brute_vertex_in_triangle(g, witness)
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_triangle_apexes_list_each_triangle_once(self, n, data):
+        pool = all_pairs(n)
+        edges = data.draw(st.lists(st.sampled_from(pool), max_size=len(pool))) if pool else []
+        g = Graph.from_edges(n, edges)
+        listed = [
+            (u, v, v + 1 + i)
+            for (u, v), apexes in zip(g.edges, triangle_apexes(g))
+            for i in range(apexes.bit_length())
+            if apexes >> i & 1
+        ]
+        assert sorted(listed) == brute_triangles(g)
 
     def test_triangle_count_matches_enumeration(self):
         rnd = random.Random(7)
