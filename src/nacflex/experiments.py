@@ -148,16 +148,15 @@ class _Table:
         return vars(self) | {"rows": [vars(r) | {} for r in self.rows]}
 
 
-def _map(fn, tasks: list[tuple], workers: int) -> list:
+def _map(fn, tasks: list[tuple], workers: int, chunksize: int = 1) -> list:
     """[fn(*task) for task in tasks], on at most `workers` processes.
 
     The pool never exceeds the task or CPU count, because it forks all of
-    its processes up front.
+    its processes up front.  Callers of cheap tasks pass a larger chunksize.
     """
     procs = min(workers, len(tasks), os.cpu_count() or 1)
     if procs <= 1:
         return [fn(*task) for task in tasks]
-    chunksize = max(1, len(tasks) // (4 * procs))
     with ProcessPoolExecutor(max_workers=procs) as pool:
         return list(pool.map(fn, *zip(*tasks), chunksize=chunksize))
 
@@ -250,7 +249,7 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1, force: bool = False) -> Swee
         for ni in range(len(spec.n_values))
         for trial in range(spec.trials)
     ]
-    results = _map(sweep_trial_outcomes, tasks, workers)
+    results = _map(sweep_trial_outcomes, tasks, workers, chunksize=8)
     rows = []
     for ni, n in enumerate(spec.n_values):
         per_trial = results[ni * spec.trials : (ni + 1) * spec.trials]
@@ -333,7 +332,7 @@ def hitting_equality_experiment(
         for ni, n in enumerate(n_values)
         for trial in range(trials)
     ]
-    results = _map(_hitting_task, tasks, workers)
+    results = _map(_hitting_task, tasks, workers, chunksize=4)
     rows = []
     for ni, n in enumerate(n_values):
         recs = results[ni * trials : (ni + 1) * trials]

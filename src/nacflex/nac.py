@@ -521,8 +521,10 @@ def nac_enumerate(
     return NacEnumeration(tuple(found), complete)
 
 
-def nac_count(g: Graph, *, force: bool = False) -> int:
-    result = nac_enumerate(g, force=force)
+def nac_count(
+    g: Graph, *, force: bool = False, node_budget: int = DEFAULT_NODE_BUDGET
+) -> int:
+    result = nac_enumerate(g, force=force, node_budget=node_budget)
     assert result.count is not None
     return result.count
 

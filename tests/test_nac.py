@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nacflex.errors import BudgetExceeded, PreconditionError
+from nacflex.errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
 from nacflex.graphs import (
     Graph,
     bipartition,
@@ -277,6 +277,16 @@ class TestNacEnumerate:
             }
             got = {c.colours for c in nac_enumerate(g).colourings}
             assert got == expected
+
+    def test_count_budget_boundary(self):
+        # each edge of a path is its own triangle class and every colouring
+        # passes, so k classes cost 2^k - 1 search nodes (the first is fixed red)
+        g = path_graph(11)
+        assert nac_count(g, node_budget=2**10 - 1) == 2**10 - 2
+        with pytest.raises(BudgetExceeded):
+            nac_count(g, node_budget=2**10 - 2)
+        # the default counts 18 such classes but not 19 (a 20-vertex path)
+        assert 2**18 - 1 <= DEFAULT_NODE_BUDGET < 2**19 - 1
 
     def test_class_ceiling_refusal(self):
         star = Graph.from_edges(28, [(0, i) for i in range(1, 28)])
