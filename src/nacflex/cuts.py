@@ -209,7 +209,9 @@ def firm_cut_exists(
         if g.degree(v) == 0:
             iso_mask |= 1 << v
     # isolated vertices can only live inside a firm cut; search the rest
-    sub, kept = (g, tuple(range(g.n))) if not iso_mask else _delete_mask(g, iso_mask)
+    sub, kept = g, tuple(range(g.n))
+    if iso_mask:
+        sub, kept = induced_delete(g, _mask_vertices(iso_mask))
     if sub.n == 0:
         return None
     masks = sub.adjacency_masks
@@ -234,10 +236,6 @@ def firm_cut_exists(
     for v in _mask_vertices(found):
         s_orig |= 1 << kept[v]
     return _certificate(g, s_orig, "firm")
-
-
-def _delete_mask(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
-    return induced_delete(g, _mask_vertices(mask))
 
 
 # -- the no-bad-cut property ---------------------------------------------------

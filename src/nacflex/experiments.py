@@ -23,7 +23,7 @@ import numpy as np
 
 from .cuts import decompose_s, sprime_holds, stable_cut_exists
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
-from .graphs import Graph, every_vertex_in_triangle
+from .graphs import Graph, every_vertex_in_triangle, is_stable
 from .nac import EdgeColouring, nac_check, nac_exists
 from .randmodels import (
     RandomSource,
@@ -417,19 +417,7 @@ def _regular_nac_trial(
         raise RuntimeError(
             "internal error: maximal distance-4 set smaller than n/(k^3-k^2+k+1)"
         )
-    s_set = []
-    for x in x_set:
-        nb = masks[x]
-        f = nb
-        stable = True
-        while f:
-            w = (f & -f).bit_length() - 1
-            f &= f - 1
-            if masks[w] & nb:
-                stable = False
-                break
-        if stable:
-            s_set.append(x)
+    s_set = [x for x in x_set if is_stable(g, g.adjacency[x])]
     # colourings: a non-empty subset of s_set gets red stars, everything else blue
     rng = src.derive(1).generator()
     size = len(s_set)

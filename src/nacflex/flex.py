@@ -99,8 +99,10 @@ def verify_flex(f: FlexFamily, n_samples: int = 64) -> FlexReport:
     Reports the largest edge-length drift from theta=0, the largest variation
     of any vertex-pair distance, and the smallest edge length seen.
     """
+    if n_samples < 1:
+        raise PreconditionError("n_samples must be >= 1")
     g = f.graph
-    thetas = 2.0 * np.pi * np.arange(n_samples) / max(n_samples, 1)
+    thetas = 2.0 * np.pi * np.arange(n_samples) / n_samples
     positions = np.stack([sample_positions(f, t) for t in thetas])
     if g.m:
         eu = np.array([e[0] for e in g.edges])

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import chain, islice, product
 from pathlib import Path
 
 from .errors import (
@@ -33,13 +34,13 @@ from .graphs import (
     Graph,
     as_vertex_set,
     bipartition,
+    components,
     graph_from_json_dict,
     graph_to_json_dict,
     is_stable,
     labelling_from_unionfind,
     triangle_apexes,
 )
-from .twosat import TwoSat
 from .unionfind import RollbackUnionFind, UnionFind
 
 __all__ = [
@@ -497,6 +498,8 @@ def nac_enumerate(
     Output is sorted canonically.  With `cap`, a partial list is returned
     with complete=False once the cap is hit.
     """
+    if cap is not None and cap < 1:
+        raise PreconditionError("cap must be >= 1")
     if g.m == 0:
         return NacEnumeration((), True)
     class_lists, order = _search_setup(g)
@@ -537,53 +540,63 @@ def stable_witnesses(
 ) -> list[StableWitness]:
     """Stable sets s with all edges meeting s one colour, all others the other.
 
-    Candidates for side X are the vertices whose incident edges are all X;
-    cover and stability constraints are solved as 2-SAT.  mode="first" gives
-    at most one (lexicographically least) witness per side; mode="all"
-    enumerates up to size_cap witnesses in total.  Isolated vertices never
-    appear in witnesses (canonical minimal form).
+    Every `side` edge has exactly one end in s, so s takes one bipartition
+    part of each component of the `side` subgraph (`_qualifying_parts`).
+    Witnesses come red side first, each side in lexicographic order over its
+    qualifying vertices, absent before present.  mode="first" gives at most
+    one witness per side; mode="all" enumerates up to size_cap (>= 1)
+    witnesses in total.  Isolated vertices never appear in witnesses
+    (canonical minimal form).
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
+    if size_cap is not None and size_cap < 1:
+        raise PreconditionError("size_cap must be >= 1")
     if not nac_check(c).is_nac:
         raise PreconditionError("colouring is not a NAC-colouring")
     g = c.graph
     out: list[StableWitness] = []
     for side in (Colour.RED, Colour.BLUE):
-        cand = [
-            v
-            for v in range(g.n)
-            if g.degree(v) > 0
-            and all(c.colours[g.index_of(v, w)] is side for w in g.adjacency[v])
-        ]
-        var = {v: i for i, v in enumerate(cand)}
-        sat = TwoSat(len(cand))
-        feasible = True
-        for (u, v), col in zip(g.edges, c.colours):
-            if col is side:
-                lits = [TwoSat.lit(var[x], True) for x in (u, v) if x in var]
-                if not lits:
-                    feasible = False
-                    break
-                if len(lits) == 1:
-                    sat.add_unit(lits[0])
-                else:
-                    sat.add_clause(lits[0], lits[1])
-        if not feasible:
+        choices = _qualifying_parts(g, Graph(g.n, c.edges_of(side)))
+        if choices is None:
             continue
-        for u, v in g.edges:
-            if u in var and v in var:
-                sat.add_clause(TwoSat.lit(var[u], False), TwoSat.lit(var[v], False))
         limit = 1 if mode == "first" else None
         if mode == "all" and size_cap is not None:
-            limit = max(size_cap - len(out), 0)
-        for model in sat.enumerate_models(limit=limit):
-            out.append(
-                StableWitness(side, tuple(v for v in cand if model[var[v]]))
-            )
-            if size_cap is not None and len(out) >= size_cap:
-                return out
+            limit = size_cap - len(out)
+        for pick in islice(product(*choices), limit):
+            out.append(StableWitness(side, tuple(sorted(chain(*pick)))))
+        if size_cap is not None and len(out) >= size_cap:
+            return out
     return out
+
+
+def _qualifying_parts(g: Graph, h: Graph) -> list[list[tuple[int, ...]]] | None:
+    """Per component of the subgraph h with an edge, its bipartition parts
+    made only of qualifying vertices (every g-edge of theirs lies in h).
+
+    Components come in order of least vertex, and within one the part
+    without that vertex comes first.  A component with two qualifying parts
+    has only qualifying vertices, so the product of the lists runs in
+    lexicographic order over the qualifying vertices.  None when h is not
+    bipartite or some component has no qualifying part.
+    """
+    parts = bipartition(h).parts
+    if parts is None:
+        return None
+    in_part1 = set(parts[1])
+    choices = []
+    for comp in components(h).sets():
+        if len(comp) < 2:
+            continue
+        halves = (
+            tuple(v for v in comp if v not in in_part1),
+            tuple(v for v in comp if v in in_part1),
+        )
+        qualifying = [p for p in halves if all(h.degree(v) == g.degree(v) for v in p)]
+        if not qualifying:
+            return None
+        choices.append(sorted(qualifying, key=lambda p: p[0] == comp[0]))
+    return choices
 
 
 def bipartite_stable_nac(g: Graph, s: list[int] | tuple[int, ...]) -> EdgeColouring:

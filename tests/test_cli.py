@@ -64,6 +64,19 @@ class TestNacCommands:
         assert code == 0 and data["stable"] is True
         assert {"side": "red", "s": [0]} in data["witnesses"]
 
+    def test_caps_below_one_exit_2(self, tmp_path, capsys):
+        cpath = tmp_path / "c.json"
+        write_colouring(cpath, EdgeColouring.from_red_edges(cycle_graph(4), [(0, 1), (0, 3)]))
+        gpath = tmp_path / "c4.txt"
+        save_graph(cycle_graph(4), gpath)
+        for argv, message in (
+            (("stable-witness", str(cpath), "--mode", "all", "--size-cap", "0"), "size_cap"),
+            (("stable-witness", str(cpath), "--size-cap", "0"), "size_cap"),
+            (("enumerate", str(gpath), "--cap", "-1"), "cap"),
+        ):
+            code, out, err = run(capsys, "nac", *argv)
+            assert code == 2 and out == "" and message in err
+
 
 class TestCutCommands:
     def test_stable_cut_json_shape(self, tmp_path, capsys):
@@ -127,6 +140,15 @@ class TestRandProcessFlex:
         code, out, err = run(capsys, "flex", "build", str(cpath), "--seed", "3")
         assert code == 2 and out == ""
         assert "could not sample separated base vectors" in err
+
+    def test_flex_build_zero_samples_exits_2(self, tmp_path, capsys):
+        cpath = tmp_path / "c.json"
+        write_colouring(cpath, EdgeColouring.from_red_edges(cycle_graph(4), [(0, 1), (2, 3)]))
+        code, out, err = run(
+            capsys, "flex", "build", str(cpath), "--seed", "3", "--samples", "0"
+        )
+        assert code == 2 and out == ""
+        assert "n_samples must be >= 1" in err
 
 
 class TestBudgetExceeded:

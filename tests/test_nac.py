@@ -250,6 +250,11 @@ class TestNacEnumerate:
         assert not res.complete and len(res.colourings) == 10
         assert res.count is None
 
+    def test_cap_below_one_refused(self):
+        for cap in (0, -1):
+            with pytest.raises(PreconditionError, match="cap"):
+                nac_enumerate(cycle_graph(4), cap=cap)
+
     def test_swap_closure_and_even(self):
         rnd = random.Random(25)
         for _ in range(300):
@@ -361,9 +366,11 @@ class TestStableWitnesses:
             stable_witnesses(c)
 
     def test_matches_brute_force(self):
-        # subset search over all vertex subsets, graphs up to n = 10
+        # subset search over all vertex subsets, graphs up to n = 10; witnesses
+        # come red side first, then lexicographic over the qualifying vertices
+        # (those whose edges all have the side's colour), absent before present
         rnd = random.Random(28)
-        checked = 0
+        checked = ordered = 0
         while checked < 400:
             g = random_graph(rnd, 2, 10)
             c = None
@@ -373,9 +380,44 @@ class TestStableWitnesses:
                 continue
             if c is None:
                 continue
-            got = {(w.side.value, w.vertices) for w in stable_witnesses(c, mode="all")}
-            assert got == brute_stable_witness_sets(g, c.colours)
+            qualifying = {
+                side.value: [
+                    v
+                    for v in range(g.n)
+                    if g.degree(v)
+                    and all(c.colour_of(v, w) is side for w in g.adjacency[v])
+                ]
+                for side in Colour
+            }
+            expected = sorted(
+                brute_stable_witness_sets(g, c.colours),
+                key=lambda w: (
+                    w[0] != "red",
+                    tuple(v in w[1] for v in qualifying[w[0]]),
+                ),
+            )
+            firsts = [
+                w for i, w in enumerate(expected) if i == 0 or w[0] != expected[i - 1][0]
+            ]
+
+            def listed(**kwargs):
+                ws = stable_witnesses(c, **kwargs)
+                return [(w.side.value, w.vertices) for w in ws]
+
+            assert listed(mode="all") == expected
+            assert listed(mode="first") == firsts
+            for k in (1, 2, 5):
+                assert listed(mode="all", size_cap=k) == expected[:k]
+            ordered += len(expected) > len(firsts)
             checked += 1
+        assert ordered >= 30  # colourings whose order the test actually checks
+
+    def test_size_cap_below_one_refused(self):
+        c = EdgeColouring.from_red_edges(cycle_graph(4), [(0, 1), (0, 3)])
+        for mode in ("first", "all"):
+            for cap in (0, -1):
+                with pytest.raises(PreconditionError, match="size_cap"):
+                    stable_witnesses(c, mode=mode, size_cap=cap)
 
     def test_first_mode_prefix_of_all(self):
         c = EdgeColouring.from_red_edges(cycle_graph(4), [(0, 1), (0, 3)])
