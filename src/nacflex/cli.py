@@ -55,7 +55,8 @@ def _cmd_nac_check(args) -> int:
 
 def _cmd_nac_count(args) -> int:
     g = load_graph(args.graph)
-    _print_json({"count": _nac.nac_count(g, force=args.force)})
+    count = _nac.nac_count(g, force=args.force, node_budget=args.budget)
+    _print_json({"count": count})
     return 0
 
 
@@ -71,7 +72,9 @@ def _cmd_nac_find(args) -> int:
 
 def _cmd_nac_enumerate(args) -> int:
     g = load_graph(args.graph)
-    res = _nac.nac_enumerate(g, cap=args.cap, force=args.force)
+    res = _nac.nac_enumerate(
+        g, cap=args.cap, force=args.force, node_budget=args.budget
+    )
     _print_json(
         {
             "complete": res.complete,
@@ -255,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = nac_sub.add_parser("count", help="exact number of NAC-colourings")
     p.add_argument("graph")
     p.add_argument("--force", action="store_true")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_nac_count)
 
     p = nac_sub.add_parser("find", help="find one NAC-colouring")
@@ -266,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--force", action="store_true")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_nac_enumerate)
 
     p = nac_sub.add_parser(

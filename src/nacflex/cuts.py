@@ -9,11 +9,22 @@ least three components, or exactly two components each of size at least two.
 
 The exact searches are branch-and-bound: grow a connected set A from a seed
 vertex, forcing each frontier vertex either into A or into the separator
-S = N(A), pruning on separator stability and on nothing being left outside
-A union S.  Every stable separator arises as N(A) for a component A of the
+S = N(A).  Every stable separator arises as N(A) for a component A of the
 cut graph, and seeding A at its minimum vertex generates each candidate
-exactly once, so the enumeration is exhaustive.  Exhaustive subset scans are
-provided as test oracles.
+exactly once, so the enumeration is exhaustive.
+
+The prune closes A over triangle classes.  S is stable, so a triangle has at
+most one vertex in S, and a triangle with a vertex in A has at least two
+there.  Hence every edge of a triangle class with an edge at A touches A, and
+the class's vertices lie in A union S: none is left over.  A subtree is cut
+when the vertices that must end up in S are not stable, or when what can be
+left over spans no edge.  Every search needs a leftover edge: the firm and
+S' searches want residual components with an edge, and `stable_cut_exists`
+settles every cut with a single-vertex component before it searches.  Only
+subtrees that yield nothing are cut, so the separators come in the order of
+the unpruned search and the certificates are the same.  The node budget
+stays: recognising a stable cutset is NP-complete (Chvatal 1984).
+Exhaustive subset scans are provided as test oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from .graphs import (
     induced_delete,
     is_stable,
 )
-from .nac import EdgeColouring
+from .nac import EdgeColouring, triangle_classes
 
 __all__ = [
     "CutCertificate",
@@ -117,43 +128,88 @@ def _certificate(g: Graph, s_mask: int, kind: str) -> CutCertificate:
     )
 
 
-def _iter_separators(n: int, masks: tuple[int, ...], counter: list[int], prune=None):
-    """Yield (A_mask, S_mask) for every connected A with stable S = N(A) and
-    at least one vertex outside A union S.
+def _class_covers(g: Graph) -> list[int]:
+    """Per vertex v, the mask of v, N(v) and the vertices of every triangle
+    class with an edge at v."""
+    tc = triangle_classes(g)
+    class_vertices = [0] * tc.count
+    for (u, v), c in zip(g.edges, tc.class_of):
+        class_vertices[c] |= (1 << u) | (1 << v)
+    cover = [1 << v for v in range(g.n)]
+    for (u, v), c in zip(g.edges, tc.class_of):
+        cover[u] |= class_vertices[c]
+        cover[v] |= class_vertices[c]
+    return cover
 
-    Every stable cut arises this way with A a component of the cut graph, and
-    each candidate is generated exactly once by seeding A at its minimum
-    vertex: frontier vertices below the seed are forced into S.  Vertices in
-    N(A) never end up outside A union S, so subtrees whose leftover
-    `full & ~A & ~N(A)` already fails a monotone requirement are pruned
-    (`prune(a_mask, na_mask)`; rest-emptiness is always pruned).
+
+def _close(masks, cover, a_mask: int, s_mask: int, t: int, below: int) -> int:
+    """Close t under "a vertex of t next to the known S joins A", or 0 when
+    the known S (s_mask and t below the seed) is not stable."""
+    known_s = new_s = s_mask | (t & below)
+    near_s = 0
+    joined = a_mask
+    while True:
+        while new_s:
+            low = new_s & -new_s
+            new_s ^= low
+            near_s |= masks[low.bit_length() - 1]
+        if near_s & known_s:
+            return 0
+        join = t & near_s & ~joined
+        if not join:
+            return t
+        joined |= join
+        while join:
+            low = join & -join
+            join ^= low
+            t |= cover[low.bit_length() - 1]
+        new_s = t & below & ~known_s
+        known_s |= new_s
+
+
+def _iter_separators(g: Graph, counter: list[int]):
+    """Yield (A_mask, S_mask) for every connected A with stable S = N(A) and
+    a leftover R outside A union S that spans an edge.
+
+    Every stable cut with an edge outside one of its components A arises
+    this way, and each candidate is generated exactly once by seeding A at
+    its minimum vertex: frontier vertices below the seed are forced into S.
+
+    Each node carries t, the union over v in A of v, N(v) and the vertices of
+    every triangle class with an edge at v.  A yielded descendant's A union S
+    contains t, because a triangle has at most one vertex in the stable S, so
+    one with a vertex in A has two there, and every edge of a class with an
+    edge at A touches A.  So t only grows, R avoids it, the vertices of t
+    below the seed end up in S, and the vertices of t next to that S end up
+    in A, which adds their covers to t (`_close`).  A node is dead, and its
+    subtree yields nothing, when that S is not stable or when full & ~t is
+    stable.  Dead subtrees are cut after their root is counted; the yield
+    order is that of the unpruned search.
+
+    A stable cut whose leftover spans no edge has a single-vertex component
+    r, so N(r) is a stable set whose removal cuts: `stable_cut_exists` finds
+    those before it searches, and the firm and S' searches reject them.
 
     counter is [nodes_used, budget].
     """
+    n = g.n
+    masks = g.adjacency_masks
+    cover = _class_covers(g)
     full = (1 << n) - 1
     budget = counter[1]
     for seed in range(n):
         below = (1 << seed) - 1
-        stack = [(1 << seed, masks[seed], 0)]
+        stack = [(1 << seed, masks[seed], 0, cover[seed])]
         while stack:
-            a_mask, na_mask, s_mask = stack.pop()
+            a_mask, na_mask, s_mask, t = stack.pop()
             counter[0] += 1
             if counter[0] > budget:
                 raise BudgetExceeded(f"cut search exceeded {budget} nodes")
-            forced = na_mask & ~s_mask & below
-            dead = False
-            while forced:
-                v_bit = forced & -forced
-                forced &= forced - 1
-                if masks[v_bit.bit_length() - 1] & s_mask:
-                    dead = True
-                    break
-                s_mask |= v_bit
-            if dead:
+            s_mask |= na_mask & below
+            t = _close(masks, cover, a_mask, s_mask, t, below)
+            if not t:
                 continue
-            if not full & ~a_mask & ~na_mask:
-                continue
-            if prune is not None and prune(a_mask, na_mask):
+            if _mask_is_stable(masks, full & ~t):
                 continue
             frontier = na_mask & ~s_mask
             if not frontier:
@@ -162,9 +218,9 @@ def _iter_separators(n: int, masks: tuple[int, ...], counter: list[int], prune=N
             v_bit = frontier & -frontier
             v = v_bit.bit_length() - 1
             a2 = a_mask | v_bit
-            stack.append((a2, (na_mask | masks[v]) & ~a2, s_mask))
+            stack.append((a2, (na_mask | masks[v]) & ~a2, s_mask, t | cover[v]))
             if masks[v] & s_mask == 0:
-                stack.append((a_mask, na_mask, s_mask | v_bit))
+                stack.append((a_mask, na_mask, s_mask | v_bit, t))
 
 
 # -- stable cuts --------------------------------------------------------------
@@ -183,14 +239,16 @@ def stable_cut_exists(
         return _certificate(g, 0, "stable")
     masks = g.adjacency_masks
     full = (1 << g.n) - 1
-    # fast path: a vertex with a stable neighbourhood whose removal cuts
+    # fast path: a vertex with a stable neighbourhood whose removal cuts.  It
+    # finds every cut with a single-vertex component, so the search is left
+    # with cuts whose leftover spans an edge, the only ones it yields
     for v in range(g.n):
         s_mask = masks[v]
         if s_mask and _mask_is_stable(masks, s_mask):
             if len(_mask_components(masks, full & ~s_mask)) >= 2:
                 return _certificate(g, s_mask, "stable")
     counter = [0, node_budget]
-    for _, s_mask in _iter_separators(g.n, masks, counter):
+    for _, s_mask in _iter_separators(g, counter):
         return _certificate(g, s_mask, "stable")
     return None
 
@@ -226,8 +284,9 @@ def firm_cut_exists(
         found = 0
     else:
         counter = [0, node_budget]
-        for _, s_mask in _iter_separators(sub.n, masks, counter):
-            if firm_mask(s_mask):
+        # A is a residual component, so it needs two vertices too
+        for a_mask, s_mask in _iter_separators(sub, counter):
+            if a_mask & (a_mask - 1) and firm_mask(s_mask):
                 found = s_mask
                 break
     if found is None:
@@ -249,8 +308,8 @@ def sprime_holds(
     On False, returns a violating-cut certificate.  Violations come in two
     shapes and are searched accordingly: two residual singletons (a direct
     scan over non-adjacent pairs u, v with N(u) | N(v) stable and something
-    left over), or two residual components spanning an edge each (leaf search
-    with that acceptance test).
+    left over), or two residual components spanning an edge each (the
+    separator search, whose leftover always spans one).
     """
     n = g.n
     if n == 0:
@@ -267,16 +326,10 @@ def sprime_holds(
             if full & ~s_mask & ~(1 << u) & ~(1 << v):
                 return False, _certificate(g, s_mask, "sprime-violation")
     counter = [0, node_budget]
-
-    def no_edge_can_remain(a_mask: int, na_mask: int) -> bool:
-        # frontier vertices end up in A or S, so only edges inside the set
-        # avoiding both A and the current N(A) can land in the leftover side
-        return _mask_is_stable(masks, full & ~a_mask & ~na_mask)
-
-    for a_mask, s_mask in _iter_separators(n, masks, counter, prune=no_edge_can_remain):
-        if not a_mask & (a_mask - 1):
-            continue  # A must span an edge, so >= 2 vertices
-        if not _mask_is_stable(masks, full & ~a_mask & ~s_mask):
+    for a_mask, s_mask in _iter_separators(g, counter):
+        # the leftover spans an edge; a connected A spans one when it has two
+        # vertices
+        if a_mask & (a_mask - 1):
             return False, _certificate(g, s_mask, "sprime-violation")
     return True, None
 

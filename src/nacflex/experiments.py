@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -58,9 +57,9 @@ PROPERTIES = ("T", "S", "Sprime", "N", "NoStableCut", "Connected")
 N_CEILINGS = {
     "T": 100_000,
     "Connected": 100_000,
-    "S": 30,
-    "Sprime": 30,
-    "NoStableCut": 30,
+    "S": 60,
+    "Sprime": 60,
+    "NoStableCut": 60,
     "N": 30,
 }
 
@@ -157,6 +156,10 @@ def _map(fn, tasks: list[tuple], workers: int, chunksize: int = 1) -> list:
     procs = min(workers, len(tasks), os.cpu_count() or 1)
     if procs <= 1:
         return [fn(*task) for task in tasks]
+    # imported here: it loads multiprocessing, over 1 MB of resident memory
+    # that a serial run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=procs) as pool:
         return list(pool.map(fn, *zip(*tasks), chunksize=chunksize))
 

@@ -420,35 +420,59 @@ def _iter_class_assignments(g: Graph, class_lists: list[list[int]], order: list[
                 return False
         return True
 
-    def rec(i: int):
-        nonlocal nodes
-        if i == len(order):
-            yield list(colour_of_class)
-            return
+    # depth-first over `order` with per-depth state in flat lists, so the
+    # depth is not bounded by the recursion limit; depth i decides class
+    # order[i] and has tried options[:next_option[i]]
+    k = len(order)
+    options = (Colour.RED, Colour.BLUE)
+    next_option = [0] * k
+    red_marks = [0] * k
+    blue_marks = [0] * k
+
+    def undo(i: int) -> None:
         cid = order[i]
-        options = (Colour.RED,) if i == 0 else (Colour.RED, Colour.BLUE)
-        for col in options:
+        del assigned[colour_of_class[cid]][-len(class_lists[cid]):]
+        colour_of_class[cid] = None
+        red_uf.rollback(red_marks[i])
+        blue_uf.rollback(blue_marks[i])
+
+    i = 0
+    while True:
+        if i < k and next_option[i] < (1 if i == 0 else 2):
+            col = options[next_option[i]]
+            next_option[i] += 1
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceeded(
                     f"class-colouring search exceeded {node_budget} nodes"
                 )
-            rm, bm = red_uf.mark(), blue_uf.mark()
+            cid = order[i]
+            red_marks[i], blue_marks[i] = red_uf.mark(), blue_uf.mark()
             colour_of_class[cid] = col
             assigned[col].extend(class_lists[cid])
             if try_assign(cid, col):
-                yield from rec(i + 1)
-            del assigned[col][-len(class_lists[cid]):]
-            colour_of_class[cid] = None
-            red_uf.rollback(rm)
-            blue_uf.rollback(bm)
-
-    yield from rec(0)
+                i += 1
+            else:
+                undo(i)
+            continue
+        if i == k:
+            yield list(colour_of_class)
+        else:
+            next_option[i] = 0
+        # everything below depth i is done: undo the choice that led here
+        i -= 1
+        if i < 0:
+            return
+        undo(i)
 
 
 def _search_setup(g: Graph) -> tuple[list[list[int]], list[int]]:
     tc = triangle_classes(g)
-    class_lists = [list(members) for members in tc.members()]
+    # straight from class_of: members() would build a tuple per class only
+    # for it to be copied into a list
+    class_lists: list[list[int]] = [[] for _ in range(tc.count)]
+    for e, c in enumerate(tc.class_of):
+        class_lists[c].append(e)
     order = sorted(
         range(tc.count), key=lambda c: (-len(class_lists[c]), class_lists[c][0])
     )

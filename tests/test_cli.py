@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -6,7 +5,7 @@ import sys
 from pathlib import Path
 
 import nacflex
-from nacflex import flex, nac
+from nacflex import flex
 from nacflex.cli import main
 from nacflex.graphs import complete_bipartite, cycle_graph, path_graph, save_graph
 from nacflex.nac import Colour, EdgeColouring
@@ -29,6 +28,14 @@ class TestNacCommands:
         code, out, _ = run(capsys, "nac", "count", str(gpath))
         assert code == 0
         assert json.loads(out)["count"] == 6
+
+    def test_find_on_a_path_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # 1199 triangle classes, one per edge: the class search goes that deep
+        gpath = tmp_path / "p1200.txt"
+        save_graph(path_graph(1200), gpath)
+        code, out, err = run(capsys, "nac", "find", str(gpath))
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"] == "found"
 
     def test_check(self, tmp_path, capsys):
         cpath = tmp_path / "c.json"
@@ -152,15 +159,13 @@ class TestRandProcessFlex:
 
 
 class TestBudgetExceeded:
-    def test_nac_searches_report_budget_exceeded(self, tmp_path, capsys, monkeypatch):
-        # a 25-vertex path has 2^24 - 2 NAC-colourings; a small budget keeps
-        # the count and enumeration from running through the default budget
-        monkeypatch.setattr(
-            nac, "nac_enumerate", functools.partial(nac.nac_enumerate, node_budget=1000)
-        )
+    def test_nac_searches_report_budget_exceeded(self, tmp_path, capsys):
+        # a 25-vertex path has 2^24 - 2 NAC-colourings; a small budget stops
+        # the count and enumeration long before the default budget would
         gpath = tmp_path / "p25.txt"
         save_graph(path_graph(25), gpath)
-        for argv in (("count",), ("enumerate",), ("find", "--budget", "1")):
+        for argv in (("count", "--budget", "1000"), ("enumerate", "--budget", "1000"),
+                     ("find", "--budget", "1")):
             code, out, err = run(capsys, "nac", argv[0], str(gpath), *argv[1:])
             assert code == 0 and err == ""
             assert json.loads(out) == {"result": "budget-exceeded"}

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,7 @@ from nacflex.graphs import (
     path_graph,
 )
 from nacflex.nac import Colour, nac_check, nac_check_oracle, nac_exists
+from nacflex.randmodels import RandomSource, hitting_times, process
 
 from conftest import all_pairs, atlas_all, atlas_connected, random_graph
 
@@ -307,3 +311,58 @@ class TestNoNacImpliesNoStableCut:
             for g in atlas_connected(n):
                 if nac_exists(g) is None:
                     assert stable_cut_exists(g) is None, (n, g.edges)
+
+
+# -- frozen certificates --------------------------------------------------------
+
+GOLDEN_CERTIFICATES = Path(__file__).parent / "data" / "cut_certificates_golden.json"
+
+
+def certificate_corpus():
+    """Random graphs with n <= 11, then process prefixes at n = 12..30 taken
+    at 0.6, 0.8, tau_T - 1, tau_T and tau_T + 3 steps."""
+    rnd = random.Random(20261018)
+    for _ in range(600):
+        yield random_graph(rnd, 1, 11)
+    for n in (12, 16, 20, 25, 30):
+        for i in range(8):
+            trace = process(n, RandomSource(20261018).derive(n, i))
+            tau = hitting_times(trace).tau_T
+            for t in (int(0.6 * tau), int(0.8 * tau), tau - 1, tau, tau + 3):
+                yield trace.prefix_graph(t)
+
+
+def certificate_records(graphs) -> tuple[list[list], str]:
+    """Per graph [n, m, stable S, firm S, S' violation S] (None: no cut, or
+    S' holds), and the sha256 of the `repr` of every full output."""
+    rows, reprs = [], []
+    for g in graphs:
+        outs = (stable_cut_exists(g), firm_cut_exists(g), sprime_holds(g))
+        certs = (outs[0], outs[1], outs[2][1])
+        rows.append([g.n, g.m] + [None if c is None else list(c.s) for c in certs])
+        reprs.append(repr(outs))
+    return rows, hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
+def test_certificates_match_frozen_outputs():
+    golden = json.loads(GOLDEN_CERTIFICATES.read_text())
+    rows, digest = certificate_records(certificate_corpus())
+    assert len(rows) == len(golden["rows"])
+    for got, want in zip(rows, golden["rows"]):
+        assert got == want
+    assert digest == golden["sha256"]
+
+
+def test_tau_t_prefixes_at_n60_need_few_nodes():
+    # without the class-closure prune, the stable-cut and firm-cut searches
+    # ran past 500k nodes on the first four of these prefixes, and the S'
+    # search on the first; with it, each uses at most 81
+    for i in range(5):
+        trace = process(60, RandomSource(7).derive(60, i))
+        g = trace.prefix_graph(hitting_times(trace).tau_T)
+        stable = stable_cut_exists(g, node_budget=5_000)
+        holds = sprime_holds(g, node_budget=5_000)[0]
+        firm = firm_cut_exists(g, node_budget=5_000)
+        # every vertex lies in a triangle, so no stable cut means S' holds
+        assert (stable is None) == holds
+        assert stable is not None or firm is None

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import random
 from pathlib import Path
@@ -111,7 +112,7 @@ class TestSweep:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
         spec = SweepSpec("Connected", (30,), (1.0,), 2, 5)
         assert strip_wall(run_sweep(spec, workers=5000)) == strip_wall(run_sweep(spec))
