@@ -40,7 +40,7 @@ from .graphs import (
     induced_delete,
     is_stable,
 )
-from .nac import EdgeColouring, triangle_classes
+from .nac import EdgeColouring
 
 __all__ = [
     "CutCertificate",
@@ -131,14 +131,15 @@ def _certificate(g: Graph, s_mask: int, kind: str) -> CutCertificate:
 def _class_covers(g: Graph) -> list[int]:
     """Per vertex v, the mask of v, N(v) and the vertices of every triangle
     class with an edge at v."""
-    tc = triangle_classes(g)
-    class_vertices = [0] * tc.count
-    for (u, v), c in zip(g.edges, tc.class_of):
-        class_vertices[c] |= (1 << u) | (1 << v)
+    edges = g.edges
     cover = [1 << v for v in range(g.n)]
-    for (u, v), c in zip(g.edges, tc.class_of):
-        cover[u] |= class_vertices[c]
-        cover[v] |= class_vertices[c]
+    for members in g.triangle_classes.members():
+        class_vertices = 0
+        for e in members:
+            u, v = edges[e]
+            class_vertices |= (1 << u) | (1 << v)
+        for v in _mask_vertices(class_vertices):
+            cover[v] |= class_vertices
     return cover
 
 

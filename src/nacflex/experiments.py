@@ -67,6 +67,10 @@ _TAG_SWEEP = 0x53574550
 _TAG_HITTING = 0x48495454
 _TAG_REGULAR = 0x52454743
 
+# star colourings NAC-checked per regular graph: every subset of S when it has
+# at most this many non-empty ones, else this many sampled
+_STAR_SUBSETS = 100
+
 
 # -- fast property checks on raw edge arrays -----------------------------------
 
@@ -403,11 +407,9 @@ def _ball_mask(masks: tuple[int, ...], v: int, radius: int) -> int:
     return ball
 
 
-def _regular_nac_trial(
-    n: int, k: int, trial: int, master_seed: int, subset_cap: int, max_rejects: int
-) -> RegularNacRow:
+def _regular_nac_trial(n: int, k: int, trial: int, master_seed: int) -> RegularNacRow:
     src = RandomSource(master_seed).derive(_TAG_REGULAR, trial)
-    g, rejects = regular_configuration(n, k, src, max_rejects=max_rejects)
+    g, rejects = regular_configuration(n, k, src)
     masks = g.adjacency_masks
     blocked = 0
     x_set = []
@@ -426,12 +428,12 @@ def _regular_nac_trial(
     size = len(s_set)
     subsets: list[int] = []
     if size:
-        if (1 << size) - 1 <= subset_cap:
+        if (1 << size) - 1 <= _STAR_SUBSETS:
             subsets = list(range(1, 1 << size))
         else:
             seen = set()
             attempts = 0
-            while len(subsets) < subset_cap and attempts < 20 * subset_cap:
+            while len(subsets) < _STAR_SUBSETS and attempts < 20 * _STAR_SUBSETS:
                 attempts += 1
                 bits = rng.random(size) < 0.5
                 mask = 0
@@ -459,8 +461,6 @@ def regular_nac_lower_bound(
     trials: int,
     master_seed: int,
     *,
-    subset_cap: int = 100,
-    max_rejects: int = 10_000,
     workers: int = 1,
 ) -> RegularNacResult:
     """Sample k-regular graphs; build a maximal pairwise-distance-4 set X,
@@ -469,7 +469,7 @@ def regular_nac_lower_bound(
         raise PreconditionError("trials must be >= 1")
     if (n * k) % 2 != 0:
         raise PreconditionError(f"n*k must be even, got n={n}, k={k}")
-    tasks = [(n, k, t, master_seed, subset_cap, max_rejects) for t in range(trials)]
+    tasks = [(n, k, t, master_seed) for t in range(trials)]
     rows = _map(_regular_nac_trial, tasks, workers)
     return RegularNacResult(n, k, master_seed, tuple(rows))
 

@@ -24,6 +24,7 @@ from .randmodels import RandomSource
 __all__ = ["FlexFamily", "FlexReport", "build_flex", "sample_positions", "verify_flex"]
 
 MIN_BASE_SEPARATION = 1e-3
+MAX_BASE_DRAWS = 1000
 
 
 @dataclass(eq=False)
@@ -54,17 +55,12 @@ def _min_pairwise_distance(points: np.ndarray) -> float:
     return float(dist[np.triu_indices(len(points), k=1)].min())
 
 
-def build_flex(
-    c: EdgeColouring,
-    src: RandomSource,
-    *,
-    min_separation: float = MIN_BASE_SEPARATION,
-    max_attempts: int = 1000,
-) -> FlexFamily:
+def build_flex(c: EdgeColouring, src: RandomSource) -> FlexFamily:
     """Sample generic base vectors from the unit box for a NAC-colouring.
 
-    Vectors are redrawn until each family is pairwise separated by at least
-    min_separation; deterministic given the source.
+    Vectors are redrawn, up to MAX_BASE_DRAWS times, until each family is
+    pairwise separated by at least MIN_BASE_SEPARATION; deterministic given
+    the source.
     """
     if not nac_check(c).is_nac:
         raise PreconditionError("colouring is not a NAC-colouring")
@@ -72,12 +68,12 @@ def build_flex(
     red_lab = monochromatic_components(c, Colour.RED)
     blue_lab = monochromatic_components(c, Colour.BLUE)
     rng = src.generator()
-    for _ in range(max_attempts):
+    for _ in range(MAX_BASE_DRAWS):
         x = rng.random((blue_lab.count, 2))
         y = rng.random((red_lab.count, 2))
         if (
-            _min_pairwise_distance(x) >= min_separation
-            and _min_pairwise_distance(y) >= min_separation
+            _min_pairwise_distance(x) >= MIN_BASE_SEPARATION
+            and _min_pairwise_distance(y) >= MIN_BASE_SEPARATION
         ):
             return FlexFamily(g, c, red_lab, blue_lab, x, y)
     raise RuntimeError("could not sample separated base vectors")

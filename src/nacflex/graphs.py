@@ -21,12 +21,14 @@ __all__ = [
     "Graph",
     "ComponentLabelling",
     "BipartitionResult",
+    "TriangleClasses",
     "components",
     "induced_delete",
     "is_stable",
     "every_vertex_in_triangle",
     "triangle_apexes",
     "triangle_count",
+    "triangle_classes",
     "bipartition",
     "as_vertex_set",
     "complete_graph",
@@ -110,6 +112,12 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @cached_property
+    def triangle_classes(self) -> "TriangleClasses":
+        """The partition of `triangle_classes`, built on first use."""
+        # a global lookup, so a wrapper rebound over the function sees each build
+        return triangle_classes(self)
+
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_index
 
@@ -135,6 +143,27 @@ class ComponentLabelling:
         for v, c in enumerate(self.labels):
             groups[c].append(v)
         return tuple(tuple(g) for g in groups)
+
+
+@dataclass(frozen=True)
+class TriangleClasses:
+    """Finest edge partition merging the three edges of every triangle.
+
+    Each class lists its edge indices in increasing order; classes come in
+    order of least edge.  The lists are shared by every reader of a graph's
+    cached partition and must not be changed.
+    """
+
+    # lists, not tuples: a tuple per class, built on every cut decision,
+    # raised nacbench decide's peak RSS by 9% (fragmented allocator arenas)
+    classes: tuple[list[int], ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.classes)
+
+    def members(self) -> tuple[list[int], ...]:
+        return self.classes
 
 
 @dataclass(frozen=True)
@@ -240,6 +269,24 @@ def triangle_apexes(g: Graph) -> list[int]:
 def triangle_count(g: Graph) -> int:
     """Number of triangles: the apex bits of triangle_apexes."""
     return sum(apexes.bit_count() for apexes in triangle_apexes(g))
+
+
+def triangle_classes(g: Graph) -> TriangleClasses:
+    """Union-find over edges, merging the three edges of each triangle.
+    Searches read the cached `Graph.triangle_classes` instead."""
+    uf = UnionFind(g.m)
+    index = g.edge_index
+    for i, ((u, v), apexes) in enumerate(zip(g.edges, triangle_apexes(g))):
+        while apexes:
+            low = apexes & -apexes
+            x = v + low.bit_length()
+            apexes ^= low
+            uf.union(i, index[u, x])
+            uf.union(i, index[v, x])
+    classes: dict[int, list[int]] = {}
+    for e in range(g.m):
+        classes.setdefault(uf.find(e), []).append(e)
+    return TriangleClasses(tuple(classes.values()))
 
 
 def bipartition(g: Graph) -> BipartitionResult:

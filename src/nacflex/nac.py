@@ -16,6 +16,7 @@ the first class red.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -32,6 +33,7 @@ from .errors import (
 from .graphs import (
     ComponentLabelling,
     Graph,
+    TriangleClasses,
     as_vertex_set,
     bipartition,
     components,
@@ -39,7 +41,7 @@ from .graphs import (
     graph_to_json_dict,
     is_stable,
     labelling_from_unionfind,
-    triangle_apexes,
+    triangle_classes,
 )
 from .unionfind import RollbackUnionFind, UnionFind
 
@@ -64,9 +66,13 @@ __all__ = [
     "bipartite_stable_nac",
     "monochromatic_cover_stats",
     "MAX_ENUM_CLASSES",
+    "MAX_WITNESSES",
 ]
 
 MAX_ENUM_CLASSES = 26
+# stable_witnesses(mode="all") without a size_cap lists no more (README,
+# "Scale defaults", has the measurement)
+MAX_WITNESSES = 1 << 16
 
 
 class Colour(str, Enum):
@@ -158,20 +164,6 @@ class NacVerdict:
     failure: str | None = None
     edge: tuple[int, int] | None = None
     path: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class TriangleClasses:
-    """Finest edge partition merging the three edges of every triangle."""
-
-    class_of: tuple[int, ...]
-    count: int
-
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.count)]
-        for e, c in enumerate(self.class_of):
-            out[c].append(e)
-        return tuple(tuple(x) for x in out)
 
 
 @dataclass(frozen=True)
@@ -369,39 +361,28 @@ def nac_check_oracle(c: EdgeColouring, max_dim: int = 16) -> bool:
     return True
 
 
-# -- triangle classes and search ---------------------------------------------
+# -- search over triangle classes ---------------------------------------------
 
 
-def triangle_classes(g: Graph) -> TriangleClasses:
-    """Union-find over edges, merging the three edges of each triangle."""
-    uf = UnionFind(g.m)
-    index = g.edge_index
-    for i, ((u, v), apexes) in enumerate(zip(g.edges, triangle_apexes(g))):
-        while apexes:
-            low = apexes & -apexes
-            x = v + low.bit_length()
-            apexes ^= low
-            uf.union(i, index[u, x])
-            uf.union(i, index[v, x])
-    lab = labelling_from_unionfind(uf, g.m)
-    return TriangleClasses(lab.labels, lab.count)
+def _iter_nac_colourings(g: Graph, node_budget: int):
+    """DFS over colourings of g's triangle classes, largest class first (ties
+    by least edge), with the first class fixed RED.
 
-
-def _iter_class_assignments(g: Graph, class_lists: list[list[int]], order: list[int],
-                            node_budget: int):
-    """DFS over class colourings with the first class in `order` fixed RED.
-
-    Yields lists mapping class id -> Colour for every assignment in which no
-    edge of one colour lies inside a monochromatic component of the other
-    (checked incrementally; violations prune the subtree).  Includes the
-    all-red assignment; callers wanting NAC-colourings must skip it.
+    Yields every colouring with a blue edge in which no edge of one colour
+    lies inside a monochromatic component of the other (checked
+    incrementally; violations prune the subtree): the NAC-colourings with
+    the first class red.
     """
+    class_lists = g.triangle_classes.members()
     edges = g.edges
     red_uf = RollbackUnionFind(g.n)
     blue_uf = RollbackUnionFind(g.n)
     colour_of_class: list[Colour | None] = [None] * len(class_lists)
     assigned: dict[Colour, list[int]] = {Colour.RED: [], Colour.BLUE: []}
     nodes = 0
+    order = sorted(
+        range(len(class_lists)), key=lambda c: (-len(class_lists[c]), class_lists[c][0])
+    )
 
     def try_assign(cid: int, col: Colour) -> bool:
         uf = red_uf if col is Colour.RED else blue_uf
@@ -456,7 +437,11 @@ def _iter_class_assignments(g: Graph, class_lists: list[list[int]], order: list[
                 undo(i)
             continue
         if i == k:
-            yield list(colour_of_class)
+            if assigned[Colour.BLUE]:
+                cols = [Colour.RED] * g.m
+                for e in assigned[Colour.BLUE]:
+                    cols[e] = Colour.BLUE
+                yield EdgeColouring(g, tuple(cols))
         else:
             next_option[i] = 0
         # everything below depth i is done: undo the choice that led here
@@ -464,29 +449,6 @@ def _iter_class_assignments(g: Graph, class_lists: list[list[int]], order: list[
         if i < 0:
             return
         undo(i)
-
-
-def _search_setup(g: Graph) -> tuple[list[list[int]], list[int]]:
-    tc = triangle_classes(g)
-    # straight from class_of: members() would build a tuple per class only
-    # for it to be copied into a list
-    class_lists: list[list[int]] = [[] for _ in range(tc.count)]
-    for e, c in enumerate(tc.class_of):
-        class_lists[c].append(e)
-    order = sorted(
-        range(tc.count), key=lambda c: (-len(class_lists[c]), class_lists[c][0])
-    )
-    return class_lists, order
-
-
-def _colouring_from_classes(
-    g: Graph, class_lists: list[list[int]], assignment: list[Colour]
-) -> EdgeColouring:
-    cols: list[Colour] = [Colour.BLUE] * g.m
-    for cid, col in enumerate(assignment):
-        for e in class_lists[cid]:
-            cols[e] = col
-    return EdgeColouring(g, tuple(cols))
 
 
 def nac_exists(
@@ -497,16 +459,9 @@ def nac_exists(
     Raises BudgetExceeded when the search space was not exhausted in time;
     that outcome is distinct from None.
     """
-    if g.m < 2:
+    if g.triangle_classes.count < 2:
         return None
-    class_lists, order = _search_setup(g)
-    if len(class_lists) == 1:
-        return None
-    for assignment in _iter_class_assignments(g, class_lists, order, node_budget):
-        if all(col is Colour.RED for col in assignment):
-            continue
-        return _colouring_from_classes(g, class_lists, assignment)
-    return None
+    return next(_iter_nac_colourings(g, node_budget), None)
 
 
 def nac_enumerate(
@@ -524,20 +479,15 @@ def nac_enumerate(
     """
     if cap is not None and cap < 1:
         raise PreconditionError("cap must be >= 1")
-    if g.m == 0:
-        return NacEnumeration((), True)
-    class_lists, order = _search_setup(g)
-    if len(class_lists) > MAX_ENUM_CLASSES and not force:
+    count = g.triangle_classes.count
+    if count > MAX_ENUM_CLASSES and not force:
         raise PreconditionError(
-            f"{len(class_lists)} triangle classes exceed the enumeration ceiling "
+            f"{count} triangle classes exceed the enumeration ceiling "
             f"of {MAX_ENUM_CLASSES}; pass force=True to override"
         )
     found: list[EdgeColouring] = []
     complete = True
-    for assignment in _iter_class_assignments(g, class_lists, order, node_budget):
-        if all(col is Colour.RED for col in assignment):
-            continue
-        c = _colouring_from_classes(g, class_lists, assignment)
+    for c in _iter_nac_colourings(g, node_budget):
         found.append(c)
         found.append(c.swapped())
         if cap is not None and len(found) >= cap:
@@ -569,8 +519,9 @@ def stable_witnesses(
     Witnesses come red side first, each side in lexicographic order over its
     qualifying vertices, absent before present.  mode="first" gives at most
     one witness per side; mode="all" enumerates up to size_cap (>= 1)
-    witnesses in total.  Isolated vertices never appear in witnesses
-    (canonical minimal form).
+    witnesses in total, and without a size_cap refuses, before building any,
+    to list more than MAX_WITNESSES.  Isolated vertices never appear in
+    witnesses (canonical minimal form).
     """
     if mode not in ("first", "all"):
         raise ValueError(f"mode must be 'first' or 'all', got {mode!r}")
@@ -579,34 +530,39 @@ def stable_witnesses(
     if not nac_check(c).is_nac:
         raise PreconditionError("colouring is not a NAC-colouring")
     g = c.graph
-    out: list[StableWitness] = []
-    for side in (Colour.RED, Colour.BLUE):
-        choices = _qualifying_parts(g, Graph(g.n, c.edges_of(side)))
-        if choices is None:
-            continue
-        limit = 1 if mode == "first" else None
-        if mode == "all" and size_cap is not None:
-            limit = size_cap - len(out)
-        for pick in islice(product(*choices), limit):
-            out.append(StableWitness(side, tuple(sorted(chain(*pick)))))
-        if size_cap is not None and len(out) >= size_cap:
-            return out
-    return out
+    sides = [
+        (side, _qualifying_parts(g, Graph(g.n, c.edges_of(side))))
+        for side in (Colour.RED, Colour.BLUE)
+    ]
+    if mode == "all" and size_cap is None:
+        total = sum(math.prod(map(len, choices)) for _, choices in sides)
+        if total > MAX_WITNESSES:
+            raise PreconditionError(
+                f"{total} stable witnesses exceed the listing ceiling of "
+                f"{MAX_WITNESSES}; pass size_cap (--size-cap) to list the first ones"
+            )
+    witnesses = (
+        StableWitness(side, tuple(sorted(chain(*pick))))
+        for side, choices in sides
+        for pick in islice(product(*choices), 1 if mode == "first" else None)
+    )
+    return list(islice(witnesses, size_cap))
 
 
-def _qualifying_parts(g: Graph, h: Graph) -> list[list[tuple[int, ...]]] | None:
+def _qualifying_parts(g: Graph, h: Graph) -> list[list[tuple[int, ...]]]:
     """Per component of the subgraph h with an edge, its bipartition parts
     made only of qualifying vertices (every g-edge of theirs lies in h).
 
     Components come in order of least vertex, and within one the part
     without that vertex comes first.  A component with two qualifying parts
     has only qualifying vertices, so the product of the lists runs in
-    lexicographic order over the qualifying vertices.  None when h is not
-    bipartite or some component has no qualifying part.
+    lexicographic order over the qualifying vertices.  The product is empty
+    when some component has no qualifying part, and [[]] stands for an h
+    that is not bipartite.
     """
     parts = bipartition(h).parts
     if parts is None:
-        return None
+        return [[]]
     in_part1 = set(parts[1])
     choices = []
     for comp in components(h).sets():
@@ -617,8 +573,6 @@ def _qualifying_parts(g: Graph, h: Graph) -> list[list[tuple[int, ...]]] | None:
             tuple(v for v in comp if v in in_part1),
         )
         qualifying = [p for p in halves if all(h.degree(v) == g.degree(v) for v in p)]
-        if not qualifying:
-            return None
         choices.append(sorted(qualifying, key=lambda p: p[0] == comp[0]))
     return choices
 

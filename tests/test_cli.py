@@ -71,6 +71,21 @@ class TestNacCommands:
         assert code == 0 and data["stable"] is True
         assert {"side": "red", "s": [0]} in data["witnesses"]
 
+    def test_stable_witness_ceiling_exit_2(self, tmp_path, capsys):
+        from nacflex.graphs import Graph
+        from nacflex.nac import MAX_WITNESSES
+
+        k = MAX_WITNESSES.bit_length() - 1  # 2^k + 2 witnesses
+        g = Graph.from_edges(2 * k + 2, [(2 * i, 2 * i + 1) for i in range(k + 1)])
+        cpath = tmp_path / "c.json"
+        write_colouring(cpath, EdgeColouring.from_red_edges(g, g.edges[:k]))
+        code, out, err = run(capsys, "nac", "stable-witness", str(cpath), "--mode", "all")
+        assert code == 2 and out == "" and "--size-cap" in err
+        code, out, _ = run(
+            capsys, "nac", "stable-witness", str(cpath), "--mode", "all", "--size-cap", "5"
+        )
+        assert code == 0 and len(json.loads(out)["witnesses"]) == 5
+
     def test_caps_below_one_exit_2(self, tmp_path, capsys):
         cpath = tmp_path / "c.json"
         write_colouring(cpath, EdgeColouring.from_red_edges(cycle_graph(4), [(0, 1), (0, 3)]))

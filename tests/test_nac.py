@@ -1,7 +1,10 @@
 import random
+import sys
 
 import pytest
 
+import nacflex.nac
+from nacflex.cuts import decompose_s
 from nacflex.errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
 from nacflex.graphs import (
     Graph,
@@ -12,6 +15,7 @@ from nacflex.graphs import (
     path_graph,
 )
 from nacflex.nac import (
+    MAX_WITNESSES,
     Colour,
     EdgeColouring,
     bipartite_stable_nac,
@@ -26,6 +30,7 @@ from nacflex.nac import (
     stable_witnesses,
     triangle_classes,
 )
+from nacflex.randmodels import RandomSource, hitting_times, process
 
 from conftest import (
     all_pairs,
@@ -200,6 +205,44 @@ class TestTriangleClasses:
             tc = triangle_classes(g)
             expected = {frozenset(grp) for grp in brute_triangle_classes(g)}
             assert {frozenset(m) for m in tc.members()} == expected
+
+
+def record_triangle_class_builds(monkeypatch) -> list[Graph]:
+    """Rebind every nacflex module's name for triangle_classes, as a tracer
+    would, to a wrapper that records the graph of each build."""
+    original = nacflex.nac.triangle_classes
+    built = []
+
+    def recording(g):
+        built.append(g)
+        return original(g)
+
+    for key, mod in list(sys.modules.items()):
+        if mod is not None and (key == "nacflex" or key.startswith("nacflex.")):
+            for name, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, name, recording)
+    return built
+
+
+class TestOneBuildPerGraph:
+    def test_identity_checked_hitting_traces(self, monkeypatch):
+        built = record_triangle_class_builds(monkeypatch)
+        for n in (8, 12, 16, 20):
+            for i in range(5):
+                hitting_times(process(n, RandomSource(41).derive(n, i)), check_identity=True)
+        assert built
+        assert len(set(built)) == len(built)
+
+    def test_decompose_then_nac_exists(self, monkeypatch):
+        built = record_triangle_class_builds(monkeypatch)
+        rnd = random.Random(42)
+        for _ in range(200):
+            g = random_graph(rnd, 1, 9)
+            built.clear()
+            decompose_s(g)
+            nac_exists(g)
+            assert len(built) == 1 and built[0] is g
 
 
 class TestNacExists:
@@ -411,6 +454,31 @@ class TestStableWitnesses:
             ordered += len(expected) > len(firsts)
             checked += 1
         assert ordered >= 30  # colourings whose order the test actually checks
+
+    def test_all_mode_ceiling(self, monkeypatch):
+        def disjoint_red_edges(k):
+            # k red components with two qualifying parts each, one blue edge:
+            # 2^k red witnesses and 2 blue ones
+            g = Graph.from_edges(2 * k + 2, [(2 * i, 2 * i + 1) for i in range(k + 1)])
+            return EdgeColouring.from_red_edges(g, g.edges[:k])
+
+        k = MAX_WITNESSES.bit_length() - 1
+        over, under = disjoint_red_edges(k), disjoint_red_edges(k - 1)
+        assert (1 << k) + 2 > MAX_WITNESSES >= (1 << (k - 1)) + 2
+        ws = stable_witnesses(under, mode="all")
+        assert len(ws) == (1 << (k - 1)) + 2
+        assert ws[0].vertices == tuple(range(1, 2 * k - 2, 2))
+        assert [w.side for w in ws[-3:]] == [Colour.RED, Colour.BLUE, Colour.BLUE]
+        capped = stable_witnesses(over, mode="all", size_cap=5)
+        assert len(capped) == 5 and capped[0].vertices == tuple(range(1, 2 * k, 2))
+        assert len(stable_witnesses(over, mode="first")) == 2
+
+        def no_witness_may_be_built(*args):
+            raise AssertionError("a witness was built")
+
+        monkeypatch.setattr(nacflex.nac, "StableWitness", no_witness_may_be_built)
+        with pytest.raises(PreconditionError, match="size_cap"):
+            stable_witnesses(over, mode="all")
 
     def test_size_cap_below_one_refused(self):
         c = EdgeColouring.from_red_edges(cycle_graph(4), [(0, 1), (0, 3)])
