@@ -26,7 +26,6 @@ from .nac import (
     StableWitness,
     TriangleClasses,
     bipartite_stable_nac,
-    is_nac_colouring,
     monochromatic_components,
     monochromatic_cover_stats,
     nac_check,

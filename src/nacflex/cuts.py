@@ -128,21 +128,6 @@ def _certificate(g: Graph, s_mask: int, kind: str) -> CutCertificate:
     )
 
 
-def _class_covers(g: Graph) -> list[int]:
-    """Per vertex v, the mask of v, N(v) and the vertices of every triangle
-    class with an edge at v."""
-    edges = g.edges
-    cover = [1 << v for v in range(g.n)]
-    for members in g.triangle_classes.members():
-        class_vertices = 0
-        for e in members:
-            u, v = edges[e]
-            class_vertices |= (1 << u) | (1 << v)
-        for v in _mask_vertices(class_vertices):
-            cover[v] |= class_vertices
-    return cover
-
-
 def _close(masks, cover, a_mask: int, s_mask: int, t: int, below: int) -> int:
     """Close t under "a vertex of t next to the known S joins A", or 0 when
     the known S (s_mask and t below the seed) is not stable."""
@@ -195,7 +180,7 @@ def _iter_separators(g: Graph, counter: list[int]):
     """
     n = g.n
     masks = g.adjacency_masks
-    cover = _class_covers(g)
+    cover = g.class_covers
     full = (1 << n) - 1
     budget = counter[1]
     for seed in range(n):

@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +25,9 @@ from .graphs import Graph, every_vertex_in_triangle, is_stable
 from .nac import EdgeColouring, nac_check, nac_exists
 from .randmodels import (
     RandomSource,
-    all_edges_array,
     hitting_times,
     p_star,
+    pairs_from_indices,
     process,
     regular_configuration,
 )
@@ -111,11 +110,6 @@ def edges_connected(n: int, pairs: np.ndarray) -> bool:
     return uf.count == 1
 
 
-@lru_cache(maxsize=8)
-def _edge_universe(n: int) -> np.ndarray:
-    return all_edges_array(n)
-
-
 def _decide(prop: str, n: int, pairs: np.ndarray, node_budget: int) -> bool:
     if prop == "T":
         return triangle_covered(n, pairs)
@@ -191,8 +185,8 @@ class SweepSpec:
             raise PreconditionError("at least one n value is required")
         if any(n < 2 for n in self.n_values):
             raise PreconditionError("n values must be >= 2")
-        if any(c <= 0 for c in self.c_values):
-            raise PreconditionError("c values must be positive")
+        if not all(math.isfinite(c) and c > 0 for c in self.c_values):
+            raise PreconditionError("c values must be finite and positive")
         ceiling = N_CEILINGS[self.property]
         if not force and any(n > ceiling for n in self.n_values):
             raise PreconditionError(
@@ -232,12 +226,11 @@ def sweep_trial_outcomes(
     n = spec.n_values[n_index]
     src = RandomSource(spec.master_seed).derive(_TAG_SWEEP, n_index, trial)
     uniforms = src.generator().random(n * (n - 1) // 2)
-    universe = _edge_universe(n)
     base = p_star(n)
     out = []
     for c in spec.c_values:
         p = min(c * base, 1.0)
-        pairs = universe[uniforms < p]
+        pairs = pairs_from_indices(n, np.flatnonzero(uniforms < p))
         start = time.perf_counter()
         try:
             ok = _decide(spec.property, n, pairs, spec.node_budget)

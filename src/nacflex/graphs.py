@@ -29,6 +29,7 @@ __all__ = [
     "triangle_apexes",
     "triangle_count",
     "triangle_classes",
+    "class_covers",
     "bipartition",
     "as_vertex_set",
     "complete_graph",
@@ -118,6 +119,11 @@ class Graph:
         # a global lookup, so a wrapper rebound over the function sees each build
         return triangle_classes(self)
 
+    @cached_property
+    def class_covers(self) -> list[int]:
+        """The masks of `class_covers`, built on first use; must not be changed."""
+        return class_covers(self)
+
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_index
 
@@ -161,9 +167,6 @@ class TriangleClasses:
     @property
     def count(self) -> int:
         return len(self.classes)
-
-    def members(self) -> tuple[list[int], ...]:
-        return self.classes
 
 
 @dataclass(frozen=True)
@@ -287,6 +290,24 @@ def triangle_classes(g: Graph) -> TriangleClasses:
     for e in range(g.m):
         classes.setdefault(uf.find(e), []).append(e)
     return TriangleClasses(tuple(classes.values()))
+
+
+def class_covers(g: Graph) -> list[int]:
+    """Per vertex v, the mask of v, N(v) and the vertices of every triangle
+    class with an edge at v.  Searches read the cached `Graph.class_covers`."""
+    edges = g.edges
+    cover = [1 << v for v in range(g.n)]
+    for members in g.triangle_classes.classes:
+        class_vertices = 0
+        for e in members:
+            u, v = edges[e]
+            class_vertices |= (1 << u) | (1 << v)
+        rest = class_vertices
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cover[low.bit_length() - 1] |= class_vertices
+    return cover
 
 
 def bipartition(g: Graph) -> BipartitionResult:

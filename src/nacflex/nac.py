@@ -55,7 +55,6 @@ __all__ = [
     "CoverStats",
     "monochromatic_components",
     "nac_check",
-    "is_nac_colouring",
     "nac_check_oracle",
     "simple_cycle_edge_masks",
     "triangle_classes",
@@ -224,10 +223,6 @@ def nac_check(c: EdgeColouring) -> NacVerdict:
     return NacVerdict(True)
 
 
-def is_nac_colouring(c: EdgeColouring) -> bool:
-    return nac_check(c).is_nac
-
-
 def _monochromatic_path(
     c: EdgeColouring, colour: Colour, start: int, goal: int
 ) -> tuple[int, ...]:
@@ -373,7 +368,7 @@ def _iter_nac_colourings(g: Graph, node_budget: int):
     incrementally; violations prune the subtree): the NAC-colourings with
     the first class red.
     """
-    class_lists = g.triangle_classes.members()
+    class_lists = g.triangle_classes.classes
     edges = g.edges
     red_uf = RollbackUnionFind(g.n)
     blue_uf = RollbackUnionFind(g.n)

@@ -35,7 +35,7 @@ __all__ = [
     "regular_configuration",
     "p_star",
     "edge_from_index",
-    "all_edges_array",
+    "pairs_from_indices",
 ]
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -73,35 +73,24 @@ class RandomSource:
 # -- edge indexing over the C(n,2) universe ------------------------------------
 
 
-def _row_offset(u: int, n: int) -> int:
-    return u * (n - 1) - u * (u - 1) // 2
+def pairs_from_indices(n: int, idx: np.ndarray | list[int]) -> np.ndarray:
+    """(len(idx), 2) int64 rows (u, v): the pairs at lexicographic indices idx
+    over {(u, v): u < v < n}, each in [0, C(n,2)).  Row u starts at
+    u(n-1) - u(u-1)/2 = u(2n-1-u)/2, so a binary search over the n row starts
+    finds each index's u."""
+    u = np.arange(n, dtype=np.int64)
+    offsets = u * (2 * n - 1 - u) // 2
+    idx = np.asarray(idx, dtype=np.int64)
+    rows = np.searchsorted(offsets, idx, side="right") - 1
+    return np.column_stack((rows, idx - offsets[rows] + rows + 1))
 
 
 def edge_from_index(k: int, n: int) -> tuple[int, int]:
     """The k-th pair in lexicographic order over {(u,v): u < v < n}."""
-    total = n * (n - 1) // 2
-    if not 0 <= k < total:
+    if not 0 <= k < n * (n - 1) // 2:
         raise ValueError(f"edge index {k} out of range for n={n}")
-    u = int(((2 * n - 1) - math.isqrt((2 * n - 1) ** 2 - 8 * k)) // 2)
-    while _row_offset(u + 1, n) <= k:
-        u += 1
-    while _row_offset(u, n) > k:
-        u -= 1
-    v = u + 1 + (k - _row_offset(u, n))
+    u, v = pairs_from_indices(n, [k])[0].tolist()
     return u, v
-
-
-def all_edges_array(n: int) -> np.ndarray:
-    """(C(n,2), 2) int array of all pairs in canonical edge-index order."""
-    total = n * (n - 1) // 2
-    out = np.empty((total, 2), dtype=np.int64)
-    pos = 0
-    for u in range(n - 1):
-        cnt = n - 1 - u
-        out[pos : pos + cnt, 0] = u
-        out[pos : pos + cnt, 1] = np.arange(u + 1, n)
-        pos += cnt
-    return out
 
 
 # -- generators -----------------------------------------------------------------
@@ -113,13 +102,13 @@ def gnp(n: int, p: float, src: RandomSource) -> Graph:
     Uses geometric skipping over the edge universe for small p, otherwise a
     vectorised Bernoulli pass; both paths are deterministic given src.
     """
+    if n < 0:  # before any index is mapped: C(n,2) is positive for n < 0 too
+        raise ValueError(f"vertex count must be non-negative, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     total = n * (n - 1) // 2
     if p == 0.0 or total == 0:
         return Graph.from_edges(n, [])
-    if p == 1.0:
-        return Graph.from_edges(n, all_edges_array(n).tolist())
     rng = src.generator()
     if p <= 0.25 and total > 4096:
         idx = []
@@ -129,15 +118,15 @@ def gnp(n: int, p: float, src: RandomSource) -> Graph:
             if pos >= total:
                 break
             idx.append(pos)
-        chosen = np.array(idx, dtype=np.int64)
     else:
-        chosen = np.nonzero(rng.random(total) < p)[0]
-    pairs = all_edges_array(n)[chosen]
-    return Graph.from_edges(n, pairs.tolist())
+        idx = np.flatnonzero(rng.random(total) < p)
+    return Graph.from_edges(n, pairs_from_indices(n, idx).tolist())
 
 
 def gnm(n: int, m: int, src: RandomSource) -> Graph:
     """Uniform graph with exactly m edges (partial Fisher-Yates over the universe)."""
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
     total = n * (n - 1) // 2
     if not 0 <= m <= total:
         raise ValueError(f"edge count {m} out of range for n={n} (max {total})")
@@ -148,8 +137,7 @@ def gnm(n: int, m: int, src: RandomSource) -> Graph:
         j = int(rng.integers(i, total))
         chosen.append(swap.get(j, j))
         swap[j] = swap.get(i, i)
-    pairs = [edge_from_index(k, n) for k in chosen]
-    return Graph.from_edges(n, pairs)
+    return Graph.from_edges(n, pairs_from_indices(n, chosen).tolist())
 
 
 @dataclass(frozen=True)
@@ -165,15 +153,13 @@ class ProcessTrace:
 
     def pairs(self) -> np.ndarray:
         """(total, 2) array: row t is the edge added at step t+1."""
-        return all_edges_array(self.n)[self.edge_order]
-
-    def prefix_edges(self, t: int) -> list[tuple[int, int]]:
-        if not 0 <= t <= self.total:
-            raise ValueError(f"step {t} out of range")
-        return [(u, v) for u, v in self.pairs()[:t].tolist()]
+        return pairs_from_indices(self.n, self.edge_order)
 
     def prefix_graph(self, t: int) -> Graph:
-        return Graph.from_edges(self.n, self.prefix_edges(t))
+        if not 0 <= t <= self.total:
+            raise ValueError(f"step {t} out of range")
+        pairs = pairs_from_indices(self.n, self.edge_order[:t])
+        return Graph.from_edges(self.n, pairs.tolist())
 
 
 def process(n: int, src: RandomSource) -> ProcessTrace:
@@ -241,7 +227,7 @@ def hitting_times(
     n = trace.n
     if n < 3:
         raise ValueError("hitting times need n >= 3")
-    edge_lists = [(u, v) for u, v in trace.pairs().tolist()]
+    edge_lists = trace.pairs().tolist()
     total = trace.total
 
     # One pass finds both.  It cannot stop at tau_T: a prefix can put every

@@ -131,6 +131,11 @@ class TestRandProcessFlex:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rand_negative_n_exit_2(self, capsys):
+        for model, param in (("gnp", ("--p", "0.5")), ("gnm", ("--m", "1"))):
+            code, _, err = run(capsys, "rand", model, "--n", "-1", *param, "--seed", "1")
+            assert code == 2 and "non-negative" in err
+
     def test_rand_requires_model_params(self, capsys):
         code, _, err = run(capsys, "rand", "gnp", "--n", "5", "--seed", "1")
         assert code == 2 and "requires --p" in err
@@ -245,6 +250,13 @@ class TestExperimentCommands:
             "--out", str(tmp_path / "missing" / "x.csv"),
         )
         assert code == 3 and "could not write" in err
+
+    def test_non_finite_c_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "experiment", "sweep", "--property", "T", "--n", "10",
+            "--c", "nan", "--trials", "1", "--seed", "1",
+        )
+        assert code == 2 and "finite" in err and out == ""
 
     def test_bad_arguments_exit_2(self, capsys):
         assert main(["experiment", "sweep", "--property", "BAD"]) == 2

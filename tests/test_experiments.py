@@ -50,6 +50,11 @@ class TestSpecValidation:
         with pytest.raises(PreconditionError, match="positive"):
             SweepSpec("T", (10,), (0.0,), 5, 1).validate()
 
+    def test_non_finite_c(self):
+        for c in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(PreconditionError, match="finite"):
+                SweepSpec("T", (10,), (1.0, c), 5, 1).validate()
+
     def test_ceiling(self):
         spec = SweepSpec("N", (40,), (1.0,), 5, 1)
         with pytest.raises(PreconditionError, match="ceiling"):

@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
+import nacflex.graphs
 import nacflex.nac
-from nacflex.cuts import decompose_s
+from nacflex.cuts import decompose_s, stable_cut_exists
 from nacflex.errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
 from nacflex.graphs import (
     Graph,
@@ -187,7 +188,7 @@ class TestTriangleClasses:
         g, ids = paper_graph_plus_vw()
         tc = triangle_classes(g)
         assert tc.count == 2
-        members = {frozenset(m) for m in tc.members()}
+        members = {frozenset(m) for m in tc.classes}
         tri1 = frozenset(
             g.index_of(*e)
             for e in [(ids["v"], ids["x"]), (ids["w"], ids["x"]), (ids["v"], ids["w"])]
@@ -204,13 +205,13 @@ class TestTriangleClasses:
             g = random_graph(rnd, 1, 8)
             tc = triangle_classes(g)
             expected = {frozenset(grp) for grp in brute_triangle_classes(g)}
-            assert {frozenset(m) for m in tc.members()} == expected
+            assert {frozenset(m) for m in tc.classes} == expected
 
 
-def record_triangle_class_builds(monkeypatch) -> list[Graph]:
-    """Rebind every nacflex module's name for triangle_classes, as a tracer
-    would, to a wrapper that records the graph of each build."""
-    original = nacflex.nac.triangle_classes
+def record_builds(monkeypatch, original) -> list[Graph]:
+    """Rebind every nacflex module's name for the per-graph builder
+    `original`, as a tracer would, to a wrapper that records the graph of
+    each build."""
     built = []
 
     def recording(g):
@@ -227,7 +228,7 @@ def record_triangle_class_builds(monkeypatch) -> list[Graph]:
 
 class TestOneBuildPerGraph:
     def test_identity_checked_hitting_traces(self, monkeypatch):
-        built = record_triangle_class_builds(monkeypatch)
+        built = record_builds(monkeypatch, nacflex.graphs.triangle_classes)
         for n in (8, 12, 16, 20):
             for i in range(5):
                 hitting_times(process(n, RandomSource(41).derive(n, i)), check_identity=True)
@@ -235,7 +236,7 @@ class TestOneBuildPerGraph:
         assert len(set(built)) == len(built)
 
     def test_decompose_then_nac_exists(self, monkeypatch):
-        built = record_triangle_class_builds(monkeypatch)
+        built = record_builds(monkeypatch, nacflex.graphs.triangle_classes)
         rnd = random.Random(42)
         for _ in range(200):
             g = random_graph(rnd, 1, 9)
@@ -243,6 +244,26 @@ class TestOneBuildPerGraph:
             decompose_s(g)
             nac_exists(g)
             assert len(built) == 1 and built[0] is g
+
+    def test_class_covers_once_per_graph(self, monkeypatch):
+        # decompose_s runs the separator search twice, in sprime_holds and in
+        # stable_cut_exists, when no fast path answers first
+        built = record_builds(monkeypatch, nacflex.graphs.class_covers)
+        for n in (8, 12, 16, 20):
+            for i in range(5):
+                hitting_times(process(n, RandomSource(41).derive(n, i)), check_identity=True)
+        assert built
+        assert len(set(built)) == len(built)
+        rnd = random.Random(43)
+        searched = 0
+        for _ in range(300):
+            g = random_graph(rnd, 3, 10)
+            built.clear()
+            decompose_s(g)
+            stable_cut_exists(g)
+            assert all(b is g for b in built) and len(built) <= 1
+            searched += len(built)
+        assert searched > 50
 
 
 class TestNacExists:
@@ -349,7 +370,7 @@ class TestNacEnumerate:
             g = random_graph(rnd, 2, 7)
             tc = triangle_classes(g)
             for c in nac_enumerate(g).colourings:
-                for members in tc.members():
+                for members in tc.classes:
                     cols = {c.colours[e] for e in members}
                     assert len(cols) == 1
 

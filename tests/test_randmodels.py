@@ -1,7 +1,11 @@
+import hashlib
 import itertools
+import json
 import math
 import random
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,16 +13,17 @@ import pytest
 from nacflex import cuts
 from nacflex.cuts import decompose_s, stable_cut_exists
 from nacflex.errors import BudgetExceeded
+from nacflex.experiments import PROPERTIES, SweepSpec, run_sweep
 from nacflex.graphs import complete_graph, components
 from nacflex.nac import nac_exists
 from nacflex.randmodels import (
     RandomSource,
-    all_edges_array,
     edge_from_index,
     gnm,
     gnp,
     hitting_times,
     p_star,
+    pairs_from_indices,
     process,
     regular_configuration,
     replay_trace,
@@ -49,12 +54,20 @@ class TestEdgeIndexing:
             pairs = list(itertools.combinations(range(n), 2))
             for k, expect in enumerate(pairs):
                 assert edge_from_index(k, n) == expect
-            arr = all_edges_array(n)
+            arr = pairs_from_indices(n, np.arange(len(pairs)))
             assert [tuple(e) for e in arr.tolist()] == pairs
+
+    def test_full_universe_is_the_upper_triangle(self):
+        for n in (0, 1, 2, 3, 64, 2000):
+            arr = pairs_from_indices(n, np.arange(n * (n - 1) // 2))
+            assert arr.shape == (n * (n - 1) // 2, 2) and arr.dtype == np.int64
+            assert np.array_equal(arr, np.column_stack(np.triu_indices(n, 1)))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             edge_from_index(6, 4)
+        with pytest.raises(ValueError):
+            edge_from_index(-1, 4)
 
 
 class TestGnp:
@@ -65,6 +78,22 @@ class TestGnp:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             gnp(5, 1.5, RandomSource(1))
+
+    def test_negative_n(self):
+        for n in (-1, -2, -100):
+            with pytest.raises(ValueError, match="non-negative"):
+                gnp(n, 0.5, RandomSource(1))
+
+    def test_sparse_memory_is_linear_in_the_edges(self):
+        # about 1250 edges out of 12.5M pairs: the map never builds the universe
+        tracemalloc.start()
+        try:
+            g = gnp(5000, 1e-4, RandomSource(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1000 < g.m < 1500
+        assert peak < 16 * 2**20
 
     def test_deterministic(self):
         assert gnp(50, 0.1, RandomSource(3, 9)) == gnp(50, 0.1, RandomSource(3, 9))
@@ -94,6 +123,8 @@ class TestGnm:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             gnm(4, 7, RandomSource(1))
+        with pytest.raises(ValueError, match="non-negative"):
+            gnm(-1, 1, RandomSource(1))
 
     def test_exact_count(self):
         for m in (1, 5, 9):
@@ -307,3 +338,51 @@ class TestPStar:
     def test_requires_n2(self):
         with pytest.raises(ValueError):
             p_star(1)
+
+
+SAMPLING_GOLDEN = Path(__file__).parent / "data" / "sampling_golden.json"
+
+# (n, p, seed): the geometric-skip path (p <= 0.25 over more than 4096
+# pairs), the Bernoulli path, p = 1.0 and an empty universe
+GNP_CASES = (
+    (200, 0.05, 5),
+    (1000, 0.01, 3),
+    (5000, 1e-4, 7),
+    (60, 0.1, 2),
+    (200, 0.5, 5),
+    (50, 0.3, 4),
+    (30, 1.0, 1),
+    (1, 0.5, 1),
+)
+GNM_CASES = ((5, 4, 4), (7, 21, 1), (50, 300, 2), (2000, 500, 3))
+PROCESS_CASES = ((3, 1), (8, 2), (30, 3), (100, 4))
+# cut properties at n <= 20; T and Connected at n = 300
+SWEEP_N = {"T": (2, 300), "Connected": (2, 300)}
+SWEEP_C = (0.8, 1.0, 1.2, 1.5, 2.5)
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def sampling_digests() -> dict[str, str]:
+    """sha256 of the sampled edges, process orders and sweep CSVs (without
+    wall_ms) that tests/data/sampling_golden.json freezes."""
+    out = {}
+    for n, p, seed in GNP_CASES:
+        out[f"gnp({n}, {p}, {seed})"] = _sha256(gnp(n, p, RandomSource(seed)).edges)
+    for n, m, seed in GNM_CASES:
+        out[f"gnm({n}, {m}, {seed})"] = _sha256(gnm(n, m, RandomSource(seed)).edges)
+    for n, seed in PROCESS_CASES:
+        out[f"process({n}, {seed})"] = _sha256(process(n, RandomSource(seed)).pairs().tolist())
+    for prop in PROPERTIES:
+        spec = SweepSpec(prop, SWEEP_N.get(prop, (2, 12, 20)), SWEEP_C, 20, 11)
+        csv = [line.rsplit(",", 1)[0] for line in run_sweep(spec).to_csv().splitlines()]
+        out[f"sweep {prop}"] = _sha256(csv)
+    return out
+
+
+class TestSamplingGolden:
+    def test_digests_match_frozen_outputs(self):
+        golden = json.loads(SAMPLING_GOLDEN.read_text())
+        assert sampling_digests() == golden["sha256"]
