@@ -35,10 +35,13 @@ from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
 from .graphs import (
     Graph,
     as_vertex_set,
+    component_masks,
     components,
     every_vertex_in_triangle,
     induced_delete,
     is_stable,
+    mask_is_stable,
+    mask_vertices,
 )
 from .nac import EdgeColouring
 
@@ -82,49 +85,11 @@ class SDecomposition:
 # -- bitmask helpers ----------------------------------------------------------
 
 
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
-
-
-def _mask_is_stable(masks: tuple[int, ...], s_mask: int) -> bool:
-    m = s_mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        if masks[v] & s_mask:
-            return False
-    return True
-
-
-def _mask_components(masks: tuple[int, ...], mask: int) -> list[int]:
-    comps = []
-    rest = mask
-    while rest:
-        comp = 0
-        frontier = rest & -rest
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= masks[v]
-            frontier = nxt & mask & ~comp
-        comps.append(comp)
-        rest &= ~comp
-    return comps
-
-
 def _certificate(g: Graph, s_mask: int, kind: str) -> CutCertificate:
     full = (1 << g.n) - 1
-    comps = _mask_components(g.adjacency_masks, full & ~s_mask)
+    comps = component_masks(g.adjacency_masks, full & ~s_mask)
     return CutCertificate(
-        _mask_vertices(s_mask), tuple(_mask_vertices(c) for c in comps), kind
+        mask_vertices(s_mask), tuple(mask_vertices(c) for c in comps), kind
     )
 
 
@@ -195,7 +160,7 @@ def _iter_separators(g: Graph, counter: list[int]):
             t = _close(masks, cover, a_mask, s_mask, t, below)
             if not t:
                 continue
-            if _mask_is_stable(masks, full & ~t):
+            if mask_is_stable(masks, full & ~t):
                 continue
             frontier = na_mask & ~s_mask
             if not frontier:
@@ -230,8 +195,8 @@ def stable_cut_exists(
     # with cuts whose leftover spans an edge, the only ones it yields
     for v in range(g.n):
         s_mask = masks[v]
-        if s_mask and _mask_is_stable(masks, s_mask):
-            if len(_mask_components(masks, full & ~s_mask)) >= 2:
+        if s_mask and mask_is_stable(masks, s_mask):
+            if len(component_masks(masks, full & ~s_mask)) >= 2:
                 return _certificate(g, s_mask, "stable")
     counter = [0, node_budget]
     for _, s_mask in _iter_separators(g, counter):
@@ -255,14 +220,14 @@ def firm_cut_exists(
     # isolated vertices can only live inside a firm cut; search the rest
     sub, kept = g, tuple(range(g.n))
     if iso_mask:
-        sub, kept = induced_delete(g, _mask_vertices(iso_mask))
+        sub, kept = induced_delete(g, mask_vertices(iso_mask))
     if sub.n == 0:
         return None
     masks = sub.adjacency_masks
     full = (1 << sub.n) - 1
 
     def firm_mask(s_mask: int) -> bool:
-        comps = _mask_components(masks, full & ~s_mask)
+        comps = component_masks(masks, full & ~s_mask)
         return len(comps) >= 2 and all(c & (c - 1) for c in comps)
 
     found = None
@@ -278,7 +243,7 @@ def firm_cut_exists(
     if found is None:
         return None
     s_orig = iso_mask
-    for v in _mask_vertices(found):
+    for v in mask_vertices(found):
         s_orig |= 1 << kept[v]
     return _certificate(g, s_orig, "firm")
 
@@ -307,7 +272,7 @@ def sprime_holds(
             if (masks[u] >> v) & 1:
                 continue
             s_mask = masks[u] | masks[v]
-            if not _mask_is_stable(masks, s_mask):
+            if not mask_is_stable(masks, s_mask):
                 continue
             if full & ~s_mask & ~(1 << u) & ~(1 << v):
                 return False, _certificate(g, s_mask, "sprime-violation")
@@ -352,27 +317,21 @@ def stable_cut_to_nac(g: Graph, cert: CutCertificate) -> EdgeColouring:
     if len(cert.components) < 2:
         raise PreconditionError("certificate does not disconnect the graph")
     seen: set[int] = set(s)
-    for comp in cert.components:
+    comp_of = {}
+    for i, comp in enumerate(cert.components):
         for v in comp:
             if v in seen:
                 raise PreconditionError("certificate components overlap")
             seen.add(v)
+            comp_of[v] = i
     if len(seen) != g.n:
         raise PreconditionError("certificate does not partition the vertices")
-    comp_of = {}
-    for i, comp in enumerate(cert.components):
-        for v in comp:
-            comp_of[v] = i
     for u, v in g.edges:
         cu, cv = comp_of.get(u), comp_of.get(v)
         if cu is not None and cv is not None and cu != cv:
             raise PreconditionError("certificate components are joined by an edge")
 
-    def touches(comp: tuple[int, ...]) -> bool:
-        cs = set(comp)
-        return any(u in cs or v in cs for u, v in g.edges)
-
-    candidates = [c for c in cert.components if touches(c)]
+    candidates = [c for c in cert.components if any(g.adjacency[v] for v in c)]
     if not candidates:
         raise PreconditionError("no edge is incident to any component (no red edge)")
     a = min(candidates, key=lambda c: (len(c), min(c)))
@@ -389,7 +348,7 @@ def stable_cut_to_nac(g: Graph, cert: CutCertificate) -> EdgeColouring:
 def _iter_stable_masks(g: Graph):
     masks = g.adjacency_masks
     for s_mask in range(1 << g.n):
-        if _mask_is_stable(masks, s_mask):
+        if mask_is_stable(masks, s_mask):
             yield s_mask
 
 
@@ -398,7 +357,7 @@ def stable_cut_exists_exhaustive(g: Graph) -> CutCertificate | None:
         raise ValueError("exhaustive scan is for n <= 20")
     full = (1 << g.n) - 1
     for s_mask in _iter_stable_masks(g):
-        if len(_mask_components(g.adjacency_masks, full & ~s_mask)) >= 2:
+        if len(component_masks(g.adjacency_masks, full & ~s_mask)) >= 2:
             return _certificate(g, s_mask, "stable")
     return None
 
@@ -408,7 +367,7 @@ def firm_cut_exists_exhaustive(g: Graph) -> CutCertificate | None:
         raise ValueError("exhaustive scan is for n <= 20")
     full = (1 << g.n) - 1
     for s_mask in _iter_stable_masks(g):
-        comps = _mask_components(g.adjacency_masks, full & ~s_mask)
+        comps = component_masks(g.adjacency_masks, full & ~s_mask)
         if len(comps) >= 2 and all(c & (c - 1) for c in comps):
             return _certificate(g, s_mask, "firm")
     return None
@@ -419,7 +378,7 @@ def sprime_violation_exhaustive(g: Graph) -> CutCertificate | None:
         raise ValueError("exhaustive scan is for n <= 20")
     full = (1 << g.n) - 1
     for s_mask in _iter_stable_masks(g):
-        comps = _mask_components(g.adjacency_masks, full & ~s_mask)
+        comps = component_masks(g.adjacency_masks, full & ~s_mask)
         if len(comps) >= 3 or (
             len(comps) == 2 and all(c & (c - 1) for c in comps)
         ):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cuts import decompose_s, sprime_holds, stable_cut_exists
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
-from .graphs import Graph, every_vertex_in_triangle, is_stable
+from .graphs import Graph, every_vertex_in_triangle, mask_is_stable
 from .nac import EdgeColouring, nac_check, nac_exists
 from .randmodels import (
     RandomSource,
@@ -74,6 +74,7 @@ _STAR_SUBSETS = 100
 # -- fast property checks on raw edge arrays -----------------------------------
 
 _BITSET_N_LIMIT = 8192
+_CHUNK_EDGES = 4096
 
 
 # Not triangle_apexes: at n=2000 this bitset took 19 ms, a Graph and its apexes 129 ms.
@@ -93,8 +94,11 @@ def triangle_covered(n: int, pairs: np.ndarray) -> bool:
     ones = np.ones(len(u), dtype=np.uint64)
     np.bitwise_or.at(bits, (u, v >> 6), np.left_shift(ones, (v & 63).astype(np.uint64)))
     np.bitwise_or.at(bits, (v, u >> 6), np.left_shift(ones, (u & 63).astype(np.uint64)))
-    common = bits[u] & bits[v]
-    tri_edge = common.any(axis=1)
+    # a chunk of edges at a time: all m rows at once take m * n/64 words twice
+    tri_edge = np.empty(len(u), dtype=bool)
+    for lo in range(0, len(u), _CHUNK_EDGES):
+        rows = slice(lo, lo + _CHUNK_EDGES)
+        tri_edge[rows] = (bits[u[rows]] & bits[v[rows]]).any(axis=1)
     covered = np.unique(pairs[tri_edge])
     return len(covered) == n
 
@@ -415,7 +419,7 @@ def _regular_nac_trial(n: int, k: int, trial: int, master_seed: int) -> RegularN
         raise RuntimeError(
             "internal error: maximal distance-4 set smaller than n/(k^3-k^2+k+1)"
         )
-    s_set = [x for x in x_set if is_stable(g, g.adjacency[x])]
+    s_set = [x for x in x_set if mask_is_stable(masks, masks[x])]
     # colourings: a non-empty subset of s_set gets red stars, everything else blue
     rng = src.derive(1).generator()
     size = len(s_set)
@@ -428,20 +432,14 @@ def _regular_nac_trial(n: int, k: int, trial: int, master_seed: int) -> RegularN
             attempts = 0
             while len(subsets) < _STAR_SUBSETS and attempts < 20 * _STAR_SUBSETS:
                 attempts += 1
-                bits = rng.random(size) < 0.5
-                mask = 0
-                for i, b in enumerate(bits):
-                    if b:
-                        mask |= 1 << i
+                mask = sum(1 << i for i, b in enumerate(rng.random(size) < 0.5) if b)
                 if mask and mask not in seen:
                     seen.add(mask)
                     subsets.append(mask)
     failures = 0
     for mask in subsets:
-        chosen = [s_set[i] for i in range(size) if (mask >> i) & 1]
-        red = []
-        for x in chosen:
-            red.extend((x, w) if x < w else (w, x) for w in g.adjacency[x])
+        chosen = (x for i, x in enumerate(s_set) if mask >> i & 1)
+        red = [(x, w) for x in chosen for w in g.adjacency[x]]
         c = EdgeColouring.from_red_edges(g, red)
         if not nac_check(c).is_nac:
             failures += 1

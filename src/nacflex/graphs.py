@@ -10,7 +10,7 @@ Graph values are immutable; all operations here are pure functions.
 from __future__ import annotations
 
 import json
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -22,6 +22,9 @@ __all__ = [
     "ComponentLabelling",
     "BipartitionResult",
     "TriangleClasses",
+    "component_masks",
+    "mask_is_stable",
+    "mask_vertices",
     "components",
     "induced_delete",
     "is_stable",
@@ -144,6 +147,15 @@ class ComponentLabelling:
     labels: tuple[int, ...]
     count: int
 
+    @classmethod
+    def from_masks(cls, n: int, comps: list[int]) -> "ComponentLabelling":
+        """Number the n vertices by their masks in `component_masks` order."""
+        labels = [0] * n
+        for i, comp in enumerate(comps):
+            for v in mask_vertices(comp):
+                labels[v] = i
+        return cls(tuple(labels), len(comps))
+
     def sets(self) -> tuple[tuple[int, ...], ...]:
         groups: list[list[int]] = [[] for _ in range(self.count)]
         for v, c in enumerate(self.labels):
@@ -190,22 +202,55 @@ def as_vertex_set(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def component_masks(masks: Sequence[int], within: int) -> list[int]:
+    """Vertex masks of the components that the neighbour masks `masks` induce
+    on the vertex mask `within`, in order of least vertex."""
+    comps = []
+    rest = within
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not masks[low.bit_length() - 1] & rest:
+            # no neighbour left in `within`: an earlier component would hold it
+            comps.append(low)
+            continue
+        comp = frontier = low
+        while frontier:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                reach |= masks[bit.bit_length() - 1]
+            frontier = reach & rest
+            rest ^= frontier
+            comp |= frontier
+        comps.append(comp)
+    return comps
+
+
+def mask_vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a vertex mask, in increasing order."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
+
+
+def mask_is_stable(masks: Sequence[int], s_mask: int) -> bool:
+    """True iff no two vertices of the mask s_mask are adjacent in `masks`."""
+    rest = s_mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if masks[low.bit_length() - 1] & s_mask:
+            return False
+    return True
+
+
 def components(g: Graph) -> ComponentLabelling:
-    uf = UnionFind(g.n)
-    for u, v in g.edges:
-        uf.union(u, v)
-    return labelling_from_unionfind(uf, g.n)
-
-
-def labelling_from_unionfind(uf: UnionFind, n: int) -> ComponentLabelling:
-    ids: dict[int, int] = {}
-    labels = []
-    for v in range(n):
-        root = uf.find(v)
-        if root not in ids:
-            ids[root] = len(ids)
-        labels.append(ids[root])
-    return ComponentLabelling(tuple(labels), len(ids))
+    comps = component_masks(g.adjacency_masks, (1 << g.n) - 1)
+    return ComponentLabelling.from_masks(g.n, comps)
 
 
 def induced_delete(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -220,13 +265,7 @@ def induced_delete(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
 
 
 def is_stable(g: Graph, s: Iterable[int]) -> bool:
-    s_tuple = as_vertex_set(g, s)
-    s_set = set(s_tuple)
-    masks = g.adjacency_masks
-    mask = 0
-    for v in s_tuple:
-        mask |= 1 << v
-    return all(masks[v] & mask == 0 for v in s_set)
+    return mask_is_stable(g.adjacency_masks, sum(1 << v for v in as_vertex_set(g, s)))
 
 
 # Not triangle_apexes: this scan needs no bitmasks and stops at the first uncovered vertex.
@@ -418,7 +457,7 @@ def graph_from_json_dict(d: dict) -> Graph:
     try:
         n = int(d["n"])
         edges = [(int(u), int(v)) for u, v in d["edges"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph JSON: {exc!r}") from exc
     return Graph.from_edges(n, edges)
 

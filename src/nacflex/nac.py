@@ -36,11 +36,13 @@ from .graphs import (
     TriangleClasses,
     as_vertex_set,
     bipartition,
+    component_masks,
     components,
     graph_from_json_dict,
     graph_to_json_dict,
     is_stable,
-    labelling_from_unionfind,
+    mask_is_stable,
+    mask_vertices,
     triangle_classes,
 )
 from .unionfind import RollbackUnionFind, UnionFind
@@ -98,15 +100,14 @@ class EdgeColouring:
 
     @classmethod
     def from_red_edges(cls, g: Graph, red: list[tuple[int, int]] | set) -> "EdgeColouring":
-        red_ids = set()
+        index = g.edge_index
+        cols = [Colour.BLUE] * g.m
         for u, v in red:
-            if not g.has_edge(u, v):
+            i = index.get((u, v) if u < v else (v, u))
+            if i is None:
                 raise ValueError(f"({u}, {v}) is not an edge of the graph")
-            red_ids.add(g.index_of(u, v))
-        cols = tuple(
-            Colour.RED if i in red_ids else Colour.BLUE for i in range(g.m)
-        )
-        return cls(g, cols)
+            cols[i] = Colour.RED
+        return cls(g, tuple(cols))
 
     @cached_property
     def red_mask(self) -> int:
@@ -125,7 +126,7 @@ class EdgeColouring:
         return self.colours[self.graph.index_of(u, v)]
 
     def is_surjective(self) -> bool:
-        return 0 < self.red_mask < (1 << self.graph.m) - 1 if self.graph.m else False
+        return Colour.RED in self.colours and Colour.BLUE in self.colours
 
     def swapped(self) -> "EdgeColouring":
         return EdgeColouring(self.graph, tuple(c.other for c in self.colours))
@@ -139,11 +140,10 @@ class EdgeColouring:
     @classmethod
     def from_json_dict(cls, d: dict) -> "EdgeColouring":
         try:
-            g = graph_from_json_dict(d["graph"])
-            red = [(int(u), int(v)) for u, v in d["red"]]
-        except (KeyError, TypeError) as exc:
+            graph, red = d["graph"], [(int(u), int(v)) for u, v in d["red"]]
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed colouring JSON: {exc!r}") from exc
-        return cls.from_red_edges(g, red)
+        return cls.from_red_edges(graph_from_json_dict(graph), red)
 
 
 def load_colouring(path: str | Path) -> EdgeColouring:
@@ -190,58 +190,65 @@ class CoverStats:
     blue_sizes: dict[int, int]
 
 
+def _colour_masks(c: EdgeColouring) -> dict[Colour, list[int]]:
+    """Per colour, the neighbour masks of the subgraph of its edges."""
+    g = c.graph
+    red = [0] * g.n
+    for u, v in c.edges_of(Colour.RED):
+        red[u] |= 1 << v
+        red[v] |= 1 << u
+    blue = [a & ~r for a, r in zip(g.adjacency_masks, red)]
+    return {Colour.RED: red, Colour.BLUE: blue}
+
+
 def monochromatic_components(c: EdgeColouring, colour: Colour) -> ComponentLabelling:
     """Components of the subgraph of `colour` edges; untouched vertices are singletons."""
-    g = c.graph
-    uf = UnionFind(g.n)
-    for (u, v), col in zip(g.edges, c.colours):
-        if col is colour:
-            uf.union(u, v)
-    return labelling_from_unionfind(uf, g.n)
+    n = c.graph.n
+    comps = component_masks(_colour_masks(c)[colour], (1 << n) - 1)
+    return ComponentLabelling.from_masks(n, comps)
 
 
 def nac_check(c: EdgeColouring) -> NacVerdict:
     """Linear-time NAC decision with failure certificate.
 
     is_nac iff the colouring is surjective and every edge joins two distinct
-    monochromatic components of the opposite colour.
-    """
+    monochromatic components of the other colour, i.e. no component spans an
+    edge of the other colour.  A failing colouring is scanned in edge order."""
     if not c.is_surjective():
         return NacVerdict(False, failure="not-surjective")
     g = c.graph
-    labs = {
-        Colour.RED: monochromatic_components(c, Colour.RED),
-        Colour.BLUE: monochromatic_components(c, Colour.BLUE),
+    masks = _colour_masks(c)
+    comps = {col: component_masks(masks[col], (1 << g.n) - 1) for col in Colour}
+    if all(
+        mask_is_stable(masks[col.other], comp)
+        for col in Colour
+        for comp in comps[col]
+        if comp & (comp - 1)
+    ):
+        return NacVerdict(True)
+    labels = {
+        col: ComponentLabelling.from_masks(g.n, cs).labels for col, cs in comps.items()
     }
     for (u, v), col in zip(g.edges, c.colours):
-        other = labs[col.other]
-        if other.labels[u] == other.labels[v]:
-            path = _monochromatic_path(c, col.other, u, v)
+        other = labels[col.other]
+        if other[u] == other[v]:
+            path = _monochromatic_path(masks[col.other], u, v)
             return NacVerdict(
                 False, failure="almost-monochromatic-cycle", edge=(u, v), path=path
             )
-    return NacVerdict(True)
+    raise AssertionError("unreachable: some component spans an other-colour edge")
 
 
-def _monochromatic_path(
-    c: EdgeColouring, colour: Colour, start: int, goal: int
-) -> tuple[int, ...]:
-    g = c.graph
-    adj: dict[int, list[int]] = {}
-    for (u, v), col in zip(g.edges, c.colours):
-        if col is colour:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
+def _monochromatic_path(masks: list[int], start: int, goal: int) -> tuple[int, ...]:
+    """A shortest start-goal path in the graph of the neighbour masks `masks`,
+    by a breadth-first search that takes neighbours in increasing order."""
     parent = {start: -1}
     queue = [start]
-    while queue:
-        nxt = []
-        for u in queue:
-            for w in adj.get(u, ()):
-                if w not in parent:
-                    parent[w] = u
-                    nxt.append(w)
-        queue = nxt
+    for u in queue:
+        for w in mask_vertices(masks[u]):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
     path = [goal]
     while path[-1] != start:
         path.append(parent[path[-1]])
@@ -594,12 +601,11 @@ def bipartite_stable_nac(g: Graph, s: list[int] | tuple[int, ...]) -> EdgeColour
 
 def monochromatic_cover_stats(c: EdgeColouring) -> CoverStats:
     """Largest monochromatic component vertex count and per-colour size histograms."""
-    sizes = {}
-    for colour in (Colour.RED, Colour.BLUE):
-        lab = monochromatic_components(c, colour)
-        sizes[colour] = Counter(Counter(lab.labels).values())
-    largest = 0
-    for hist in sizes.values():
-        if hist:
-            largest = max(largest, max(hist))
+    masks = _colour_masks(c)
+    full = (1 << c.graph.n) - 1
+    sizes = {
+        col: Counter(comp.bit_count() for comp in component_masks(masks[col], full))
+        for col in Colour
+    }
+    largest = max(chain(*sizes.values()), default=0)
     return CoverStats(largest, dict(sizes[Colour.RED]), dict(sizes[Colour.BLUE]))

@@ -36,9 +36,6 @@ class UnionFind:
         self.count -= 1
         return True
 
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
 
 class RollbackUnionFind:
     """Union by size, no path compression; unions can be undone in LIFO order."""

@@ -54,6 +54,16 @@ class TestNacCommands:
         assert data["failure"] == "almost-monochromatic-cycle"
         assert "edge" in data and "path" in data
 
+    def test_check_red_entry_not_a_pair_exit_2(self, tmp_path, capsys):
+        graph = {"n": 3, "edges": [[0, 1], [1, 2]]}
+        for red in ([[0, 1, 2]], "ab"):
+            cpath = tmp_path / "c.json"
+            cpath.write_text(json.dumps({"graph": graph, "red": red}))
+            code, out, err = run(capsys, "nac", "check", str(cpath))
+            assert code == 2 and out == ""
+            assert err.startswith("error: malformed colouring JSON: ")
+            assert "Traceback" not in err
+
     def test_find_and_enumerate(self, tmp_path, capsys):
         gpath = tmp_path / "c4.txt"
         save_graph(cycle_graph(4), gpath)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from nacflex.experiments import (
     triangle_covered,
 )
 from nacflex.graphs import Graph, components, every_vertex_in_triangle
+from nacflex.randmodels import p_star, pairs_from_indices
 
 from conftest import random_graph
 
@@ -68,6 +70,23 @@ class TestFastChecks:
         for _ in range(1500):
             g = random_graph(rnd, 1, 10)
             assert triangle_covered(g.n, as_pairs(g)) == every_vertex_in_triangle(g)[0]
+
+    def test_triangle_covered_memory_at_n4000(self):
+        # 104,532 edges at 1.3 p*: intersecting all rows at once peaked at
+        # 105 MB; a chunk of rows at a time peaks at 8.4 MB
+        n = 4000
+        total = n * (n - 1) // 2
+        rng = np.random.default_rng(5)
+        idx = np.unique(rng.integers(0, total, size=int(1.3 * p_star(n) * total)))
+        pairs = pairs_from_indices(n, idx)
+        tracemalloc.start()
+        try:
+            covered = triangle_covered(n, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        assert covered == every_vertex_in_triangle(Graph.from_edges(n, pairs.tolist()))[0]
 
     def test_connected_matches_components(self):
         rnd = random.Random(52)

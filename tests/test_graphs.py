@@ -10,6 +10,7 @@ from nacflex.graphs import (
     bipartition,
     complete_bipartite,
     complete_graph,
+    component_masks,
     components,
     cycle_graph,
     every_vertex_in_triangle,
@@ -23,6 +24,7 @@ from nacflex.graphs import (
     triangle_apexes,
     triangle_count,
 )
+from nacflex.nac import Colour, EdgeColouring, monochromatic_components
 
 from conftest import all_pairs, brute_triangles, brute_vertex_in_triangle, random_graph
 
@@ -62,6 +64,63 @@ class TestComponents:
         g = Graph.from_edges(5, [(0, 1), (3, 4)])
         lab = components(g)
         assert sorted(v for s in lab.sets() for v in s) == list(range(5))
+
+
+def brute_component_sets(g: Graph, within: set[int]) -> list[set[int]]:
+    """Components of g induced on `within` by a breadth-first search from
+    each unvisited vertex in increasing order."""
+    seen: set[int] = set()
+    out = []
+    for s in sorted(within):
+        if s in seen:
+            continue
+        comp, queue = {s}, [s]
+        while queue:
+            u = queue.pop(0)
+            for w in g.adjacency[u]:
+                if w in within and w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        out.append(comp)
+    return out
+
+
+def mask_set(mask: int) -> set[int]:
+    return {v for v in range(mask.bit_length()) if (mask >> v) & 1}
+
+
+class TestComponentMasks:
+    @given(st.integers(0, 14), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bfs(self, n, data):
+        pool = all_pairs(n)
+        edges = data.draw(st.lists(st.sampled_from(pool), max_size=len(pool))) if pool else []
+        g = Graph.from_edges(n, edges)
+        within = data.draw(st.integers(0, (1 << n) - 1))
+        comps = component_masks(g.adjacency_masks, within)
+        # the brute force lists the components in order of least vertex
+        assert [mask_set(c) for c in comps] == brute_component_sets(g, mask_set(within))
+        # a vertex with no neighbour in `within` comes out alone
+        for v in mask_set(within):
+            if not g.adjacency_masks[v] & within:
+                assert 1 << v in comps
+
+    @given(st.integers(0, 14), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_labellings_number_components_by_least_member(self, n, data):
+        pool = all_pairs(n)
+        edges = data.draw(st.lists(st.sampled_from(pool), max_size=len(pool))) if pool else []
+        g = Graph.from_edges(n, edges)
+        # bfs_labelling numbers the components in order of least member
+        lab = components(g)
+        assert (lab.labels, lab.count) == bfs_labelling(g)
+        red = [e for e in g.edges if data.draw(st.booleans())]
+        c = EdgeColouring.from_red_edges(g, red)
+        for colour in Colour:
+            h = Graph.from_edges(n, c.edges_of(colour))
+            lab = monochromatic_components(c, colour)
+            assert (lab.labels, lab.count) == bfs_labelling(h)
 
 
 class TestInducedDelete:

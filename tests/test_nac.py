@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from nacflex.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    is_stable,
     path_graph,
 )
 from nacflex.nac import (
@@ -31,7 +35,7 @@ from nacflex.nac import (
     stable_witnesses,
     triangle_classes,
 )
-from nacflex.randmodels import RandomSource, hitting_times, process
+from nacflex.randmodels import RandomSource, hitting_times, process, regular_configuration
 
 from conftest import (
     all_pairs,
@@ -597,3 +601,78 @@ class TestCoverStats:
         c = EdgeColouring.from_red_edges(g, [(ids["v"], ids["x"]), (ids["w"], ids["x"])])
         stats = monochromatic_cover_stats(c)
         assert stats.largest_component == 3
+
+
+# -- frozen verdicts ------------------------------------------------------------
+
+GOLDEN_VERDICTS = Path(__file__).parent / "data" / "nac_check_golden.json"
+
+
+def verdict_corpus():
+    """Seeded random colourings of random graphs with n <= 13, most of them
+    failing, a NAC-colouring of some of those graphs; then the star
+    colourings of one 4-regular graph on 540 vertices (red stars around
+    centres at pairwise distance >= 4 with stable neighbourhoods) and a few
+    of them broken by turning one star edge blue."""
+    rnd = random.Random(20261019)
+    for _ in range(3000):
+        g = random_graph(rnd, 1, 13)
+        share = rnd.choice((0.1, 0.5, 0.9))
+        yield EdgeColouring.from_red_edges(g, [e for e in g.edges if rnd.random() < share])
+        if rnd.random() < 0.1:
+            found = nac_exists(g)
+            if found is not None:
+                yield found
+    g, _ = regular_configuration(540, 4, RandomSource(20261019))
+    masks = g.adjacency_masks
+    blocked = 0
+    centres = []
+    for v in range(g.n):
+        if (blocked >> v) & 1:
+            continue
+        ball = 1 << v
+        for _ in range(3):
+            rest = ball
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                ball |= masks[low.bit_length() - 1]
+        blocked |= ball
+        if is_stable(g, g.adjacency[v]):
+            centres.append(v)
+    stars = []
+    for _ in range(100):
+        chosen = [x for x in centres if rnd.random() < 0.5] or centres[:1]
+        star = [(min(x, w), max(x, w)) for x in chosen for w in g.adjacency[x]]
+        stars.append(star)
+        yield EdgeColouring.from_red_edges(g, star)
+    for star in stars[:10]:
+        yield EdgeColouring.from_red_edges(g, star[1:])
+
+
+def verdict_records(colourings) -> tuple[list[list], str]:
+    """Per colouring [n, m, is_nac, failure, edge, path, red count, blue
+    count], and the sha256 of the `repr` of every verdict with both full
+    monochromatic labellings."""
+    rows, reprs = [], []
+    for c in colourings:
+        verdict = nac_check(c)
+        red = monochromatic_components(c, Colour.RED)
+        blue = monochromatic_components(c, Colour.BLUE)
+        rows.append([
+            c.graph.n, c.graph.m, verdict.is_nac, verdict.failure,
+            None if verdict.edge is None else list(verdict.edge),
+            None if verdict.path is None else list(verdict.path),
+            red.count, blue.count,
+        ])
+        reprs.append(repr((verdict, red, blue)))
+    return rows, hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
+def test_verdicts_match_frozen_outputs():
+    golden = json.loads(GOLDEN_VERDICTS.read_text())
+    rows, digest = verdict_records(verdict_corpus())
+    assert len(rows) == len(golden["rows"])
+    for got, want in zip(rows, golden["rows"]):
+        assert got == want
+    assert digest == golden["sha256"]
