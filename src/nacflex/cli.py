@@ -6,7 +6,9 @@ which `flex build` cannot sample separated base vectors), 3 on I/O failures.
 A search or sampler that runs out of its budget prints
 {"result": "budget-exceeded"} and exits 0.  Every `--budget` flag is a
 search-node count (default DEFAULT_NODE_BUDGET), so identical seeds always
-give identical outputs.
+give identical outputs.  The budget is the only limit of `nac count`,
+`nac enumerate` and `nac find`; `--force` exists only on `experiment sweep`,
+to pass its n ceilings.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def _cmd_nac_check(args) -> int:
 
 def _cmd_nac_count(args) -> int:
     g = load_graph(args.graph)
-    count = _nac.nac_count(g, force=args.force, node_budget=args.budget)
+    count = _nac.nac_count(g, node_budget=args.budget)
     _print_json({"count": count})
     return 0
 
@@ -72,9 +74,7 @@ def _cmd_nac_find(args) -> int:
 
 def _cmd_nac_enumerate(args) -> int:
     g = load_graph(args.graph)
-    res = _nac.nac_enumerate(
-        g, cap=args.cap, force=args.force, node_budget=args.budget
-    )
+    res = _nac.nac_enumerate(g, cap=args.cap, node_budget=args.budget)
     _print_json(
         {
             "complete": res.complete,
@@ -257,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = nac_sub.add_parser("count", help="exact number of NAC-colourings")
     p.add_argument("graph")
-    p.add_argument("--force", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_nac_count)
 
@@ -269,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = nac_sub.add_parser("enumerate", help="list NAC-colourings")
     p.add_argument("graph")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--force", action="store_true")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_nac_enumerate)
 

@@ -38,7 +38,6 @@ from .graphs import (
     component_masks,
     components,
     every_vertex_in_triangle,
-    induced_delete,
     is_stable,
     mask_is_stable,
     mask_vertices,
@@ -118,7 +117,7 @@ def _close(masks, cover, a_mask: int, s_mask: int, t: int, below: int) -> int:
         known_s |= new_s
 
 
-def _iter_separators(g: Graph, counter: list[int]):
+def _iter_separators(g: Graph, node_budget: int):
     """Yield (A_mask, S_mask) for every connected A with stable S = N(A) and
     a leftover R outside A union S that spans an edge.
 
@@ -140,22 +139,21 @@ def _iter_separators(g: Graph, counter: list[int]):
     A stable cut whose leftover spans no edge has a single-vertex component
     r, so N(r) is a stable set whose removal cuts: `stable_cut_exists` finds
     those before it searches, and the firm and S' searches reject them.
-
-    counter is [nodes_used, budget].
+    Every popped node counts against node_budget.
     """
     n = g.n
     masks = g.adjacency_masks
     cover = g.class_covers
     full = (1 << n) - 1
-    budget = counter[1]
+    nodes = 0
     for seed in range(n):
         below = (1 << seed) - 1
         stack = [(1 << seed, masks[seed], 0, cover[seed])]
         while stack:
             a_mask, na_mask, s_mask, t = stack.pop()
-            counter[0] += 1
-            if counter[0] > budget:
-                raise BudgetExceeded(f"cut search exceeded {budget} nodes")
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded(f"cut search exceeded {node_budget} nodes")
             s_mask |= na_mask & below
             t = _close(masks, cover, a_mask, s_mask, t, below)
             if not t:
@@ -198,8 +196,7 @@ def stable_cut_exists(
         if s_mask and mask_is_stable(masks, s_mask):
             if len(component_masks(masks, full & ~s_mask)) >= 2:
                 return _certificate(g, s_mask, "stable")
-    counter = [0, node_budget]
-    for _, s_mask in _iter_separators(g, counter):
+    for _, s_mask in _iter_separators(g, node_budget):
         return _certificate(g, s_mask, "stable")
     return None
 
@@ -210,42 +207,29 @@ def stable_cut_exists(
 def firm_cut_exists(
     g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> CutCertificate | None:
-    """A firm-cut certificate (all residual components >= 2 vertices), or None."""
-    if g.n == 0:
-        return None
+    """A firm-cut certificate (all residual components >= 2 vertices), or None.
+
+    An isolated vertex left over would be a singleton component, so every
+    candidate S takes all of them.
+    """
+    masks = g.adjacency_masks
     iso_mask = 0
     for v in range(g.n):
-        if g.degree(v) == 0:
+        if not masks[v]:
             iso_mask |= 1 << v
-    # isolated vertices can only live inside a firm cut; search the rest
-    sub, kept = g, tuple(range(g.n))
-    if iso_mask:
-        sub, kept = induced_delete(g, mask_vertices(iso_mask))
-    if sub.n == 0:
-        return None
-    masks = sub.adjacency_masks
-    full = (1 << sub.n) - 1
+    rest = ((1 << g.n) - 1) & ~iso_mask
 
     def firm_mask(s_mask: int) -> bool:
-        comps = component_masks(masks, full & ~s_mask)
+        comps = component_masks(masks, rest & ~s_mask)
         return len(comps) >= 2 and all(c & (c - 1) for c in comps)
 
-    found = None
     if firm_mask(0):
-        found = 0
-    else:
-        counter = [0, node_budget]
-        # A is a residual component, so it needs two vertices too
-        for a_mask, s_mask in _iter_separators(sub, counter):
-            if a_mask & (a_mask - 1) and firm_mask(s_mask):
-                found = s_mask
-                break
-    if found is None:
-        return None
-    s_orig = iso_mask
-    for v in mask_vertices(found):
-        s_orig |= 1 << kept[v]
-    return _certificate(g, s_orig, "firm")
+        return _certificate(g, iso_mask, "firm")
+    # A is a residual component, so it needs two vertices too
+    for a_mask, s_mask in _iter_separators(g, node_budget):
+        if a_mask & (a_mask - 1) and firm_mask(s_mask):
+            return _certificate(g, s_mask | iso_mask, "firm")
+    return None
 
 
 # -- the no-bad-cut property ---------------------------------------------------
@@ -276,8 +260,7 @@ def sprime_holds(
                 continue
             if full & ~s_mask & ~(1 << u) & ~(1 << v):
                 return False, _certificate(g, s_mask, "sprime-violation")
-    counter = [0, node_budget]
-    for a_mask, s_mask in _iter_separators(g, counter):
+    for a_mask, s_mask in _iter_separators(g, node_budget):
         # the leftover spans an edge; a connected A spans one when it has two
         # vertices
         if a_mask & (a_mask - 1):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cuts import decompose_s, sprime_holds, stable_cut_exists
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
-from .graphs import Graph, every_vertex_in_triangle, mask_is_stable
+from .graphs import Graph, mask_is_stable
 from .nac import EdgeColouring, nac_check, nac_exists
 from .randmodels import (
     RandomSource,
@@ -53,9 +53,11 @@ __all__ = [
 
 PROPERTIES = ("T", "S", "Sprime", "N", "NoStableCut", "Connected")
 
+# T and Connected: one trial holds C(n,2) float64 uniforms; at n = 16,000
+# a three-c trial peaks at 1.2 GB RSS (README, "Scale defaults")
 N_CEILINGS = {
-    "T": 100_000,
-    "Connected": 100_000,
+    "T": 16_000,
+    "Connected": 16_000,
     "S": 60,
     "Sprime": 60,
     "NoStableCut": 60,
@@ -73,7 +75,6 @@ _STAR_SUBSETS = 100
 
 # -- fast property checks on raw edge arrays -----------------------------------
 
-_BITSET_N_LIMIT = 8192
 _CHUNK_EDGES = 4096
 
 
@@ -84,9 +85,6 @@ def triangle_covered(n: int, pairs: np.ndarray) -> bool:
         return True
     if len(pairs) == 0:
         return False
-    if n > _BITSET_N_LIMIT:
-        g = Graph.from_edges(n, pairs.tolist())
-        return every_vertex_in_triangle(g)[0]
     words = (n + 63) // 64
     bits = np.zeros((n, words), dtype=np.uint64)
     u = pairs[:, 0].astype(np.intp)

@@ -10,7 +10,9 @@ cycle-enumeration semantics are kept alongside as a test oracle.
 Enumeration and existence search work on the quotient by triangle classes
 (edges sharing a triangle are monochromatic in every NAC-colouring), with
 incremental union-find pruning and red/blue swap symmetry broken by fixing
-the first class red.
+the first class red.  The search is a stack of pending choices, like the
+separator search in `cuts`, and its node budget is its only limit: no
+ceiling on the number of classes refuses a graph.
 """
 
 from __future__ import annotations
@@ -66,11 +68,9 @@ __all__ = [
     "stable_witnesses",
     "bipartite_stable_nac",
     "monochromatic_cover_stats",
-    "MAX_ENUM_CLASSES",
     "MAX_WITNESSES",
 ]
 
-MAX_ENUM_CLASSES = 26
 # stable_witnesses(mode="all") without a size_cap lists no more (README,
 # "Scale defaults", has the measurement)
 MAX_WITNESSES = 1 << 16
@@ -374,83 +374,68 @@ def _iter_nac_colourings(g: Graph, node_budget: int):
     lies inside a monochromatic component of the other (checked
     incrementally; violations prune the subtree): the NAC-colourings with
     the first class red.
+
+    The stack holds pending choices (depth, colour, red mark, blue mark,
+    #red edges, #blue edges), popped red before blue.  A pop rolls both
+    union-finds and both edge lists back to the marks, then colours class
+    order[depth]; every pop counts one node against node_budget.
     """
     class_lists = g.triangle_classes.classes
     edges = g.edges
-    red_uf = RollbackUnionFind(g.n)
-    blue_uf = RollbackUnionFind(g.n)
-    colour_of_class: list[Colour | None] = [None] * len(class_lists)
-    assigned: dict[Colour, list[int]] = {Colour.RED: [], Colour.BLUE: []}
-    nodes = 0
     order = sorted(
         range(len(class_lists)), key=lambda c: (-len(class_lists[c]), class_lists[c][0])
     )
+    k = len(order)
+    red_uf = RollbackUnionFind(g.n)
+    blue_uf = RollbackUnionFind(g.n)
+    red: list[int] = []
+    blue: list[int] = []
 
-    def try_assign(cid: int, col: Colour) -> bool:
-        uf = red_uf if col is Colour.RED else blue_uf
-        other_uf = blue_uf if col is Colour.RED else red_uf
-        for e in class_lists[cid]:
+    def fits(cls, uf, other_uf, opposite) -> bool:
+        """Whether class cls can take uf's colour: none of its edges lies in a
+        component of other_uf, and once they are unioned into uf, no edge
+        of `opposite` lies in one of uf.  The next pop undoes the unions."""
+        for e in cls:
             u, v = edges[e]
             if other_uf.connected(u, v):
                 return False
-        for e in class_lists[cid]:
+        for e in cls:
             u, v = edges[e]
             uf.union(u, v)
-        # merging components of `col` may engulf an earlier opposite edge
-        for e in assigned[col.other]:
+        for e in opposite:
             u, v = edges[e]
             if uf.connected(u, v):
                 return False
         return True
 
-    # depth-first over `order` with per-depth state in flat lists, so the
-    # depth is not bounded by the recursion limit; depth i decides class
-    # order[i] and has tried options[:next_option[i]]
-    k = len(order)
-    options = (Colour.RED, Colour.BLUE)
-    next_option = [0] * k
-    red_marks = [0] * k
-    blue_marks = [0] * k
-
-    def undo(i: int) -> None:
-        cid = order[i]
-        del assigned[colour_of_class[cid]][-len(class_lists[cid]):]
-        colour_of_class[cid] = None
-        red_uf.rollback(red_marks[i])
-        blue_uf.rollback(blue_marks[i])
-
-    i = 0
-    while True:
-        if i < k and next_option[i] < (1 if i == 0 else 2):
-            col = options[next_option[i]]
-            next_option[i] += 1
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded(
-                    f"class-colouring search exceeded {node_budget} nodes"
-                )
-            cid = order[i]
-            red_marks[i], blue_marks[i] = red_uf.mark(), blue_uf.mark()
-            colour_of_class[cid] = col
-            assigned[col].extend(class_lists[cid])
-            if try_assign(cid, col):
-                i += 1
-            else:
-                undo(i)
-            continue
-        if i == k:
-            if assigned[Colour.BLUE]:
-                cols = [Colour.RED] * g.m
-                for e in assigned[Colour.BLUE]:
-                    cols[e] = Colour.BLUE
-                yield EdgeColouring(g, tuple(cols))
+    nodes = 0
+    stack = [(0, Colour.RED, 0, 0, 0, 0)] if k else []
+    while stack:
+        depth, col, red_mark, blue_mark, n_red, n_blue = stack.pop()
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceeded(f"class-colouring search exceeded {node_budget} nodes")
+        red_uf.rollback(red_mark)
+        blue_uf.rollback(blue_mark)
+        del red[n_red:], blue[n_blue:]
+        cls = class_lists[order[depth]]
+        if col is Colour.RED:
+            ok = fits(cls, red_uf, blue_uf, blue)
+            red.extend(cls)
         else:
-            next_option[i] = 0
-        # everything below depth i is done: undo the choice that led here
-        i -= 1
-        if i < 0:
-            return
-        undo(i)
+            ok = fits(cls, blue_uf, red_uf, red)
+            blue.extend(cls)
+        if not ok:
+            continue
+        if depth + 1 < k:
+            marks = (red_uf.mark(), blue_uf.mark(), len(red), len(blue))
+            stack.append((depth + 1, Colour.BLUE, *marks))
+            stack.append((depth + 1, Colour.RED, *marks))
+        elif blue:
+            cols = [Colour.RED] * g.m
+            for e in blue:
+                cols[e] = Colour.BLUE
+            yield EdgeColouring(g, tuple(cols))
 
 
 def nac_exists(
@@ -470,23 +455,17 @@ def nac_enumerate(
     g: Graph,
     *,
     cap: int | None = None,
-    force: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> NacEnumeration:
     """All NAC-colourings as colour maps (red/blue swaps count as distinct).
 
     The search fixes one class red and re-expands each hit by its swap.
     Output is sorted canonically.  With `cap`, a partial list is returned
-    with complete=False once the cap is hit.
+    with complete=False once the cap is hit.  The node budget is the only
+    limit: each node yields at most one hit, so it bounds the list too.
     """
     if cap is not None and cap < 1:
         raise PreconditionError("cap must be >= 1")
-    count = g.triangle_classes.count
-    if count > MAX_ENUM_CLASSES and not force:
-        raise PreconditionError(
-            f"{count} triangle classes exceed the enumeration ceiling "
-            f"of {MAX_ENUM_CLASSES}; pass force=True to override"
-        )
     found: list[EdgeColouring] = []
     complete = True
     for c in _iter_nac_colourings(g, node_budget):
@@ -500,10 +479,8 @@ def nac_enumerate(
     return NacEnumeration(tuple(found), complete)
 
 
-def nac_count(
-    g: Graph, *, force: bool = False, node_budget: int = DEFAULT_NODE_BUDGET
-) -> int:
-    result = nac_enumerate(g, force=force, node_budget=node_budget)
+def nac_count(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
+    result = nac_enumerate(g, node_budget=node_budget)
     assert result.count is not None
     return result.count
 

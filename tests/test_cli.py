@@ -7,7 +7,7 @@ from pathlib import Path
 import nacflex
 from nacflex import flex
 from nacflex.cli import main
-from nacflex.graphs import complete_bipartite, cycle_graph, path_graph, save_graph
+from nacflex.graphs import Graph, complete_bipartite, cycle_graph, path_graph, save_graph
 from nacflex.nac import Colour, EdgeColouring
 
 
@@ -28,6 +28,20 @@ class TestNacCommands:
         code, out, _ = run(capsys, "nac", "count", str(gpath))
         assert code == 0
         assert json.loads(out)["count"] == 6
+
+    def test_count_k56_has_no_class_ceiling(self, tmp_path, capsys):
+        # 30 triangle classes, 1022 colourings
+        gpath = tmp_path / "k56.json"
+        save_graph(complete_bipartite(5, 6), gpath, fmt="json")
+        code, out, err = run(capsys, "nac", "count", str(gpath))
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"count": 1022}
+
+    def test_count_force_flag_is_gone_exit_2(self, tmp_path, capsys):
+        gpath = tmp_path / "k22.json"
+        save_graph(complete_bipartite(2, 2), gpath, fmt="json")
+        code, out, _ = run(capsys, "nac", "count", str(gpath), "--force")
+        assert code == 2 and out == ""
 
     def test_find_on_a_path_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         # 1199 triangle classes, one per edge: the class search goes that deep
@@ -199,6 +213,14 @@ class TestBudgetExceeded:
             code, out, err = run(capsys, "nac", argv[0], str(gpath), *argv[1:])
             assert code == 0 and err == ""
             assert json.loads(out) == {"result": "budget-exceeded"}
+
+    def test_enumerate_on_a_star_stops_at_the_budget(self, tmp_path, capsys):
+        # 27 triangle classes; only the node budget bounds the listing
+        gpath = tmp_path / "star28.txt"
+        save_graph(Graph.from_edges(28, [(0, i) for i in range(1, 28)]), gpath)
+        code, out, err = run(capsys, "nac", "enumerate", str(gpath), "--budget", "1000")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"result": "budget-exceeded"}
 
     def test_rand_regular_reports_budget_exceeded(self, capsys):
         code, out, _ = run(

@@ -88,6 +88,14 @@ class TestFastChecks:
         assert peak < 24 * 2**20
         assert covered == every_vertex_in_triangle(Graph.from_edges(n, pairs.tolist()))[0]
 
+    def test_triangle_covered_above_8192_vertices(self):
+        # the bitset serves every n: 3000 disjoint triangles are covered, and
+        # without one edge two of their vertices are not
+        n = 9000
+        tri = [(a, b) for t in range(0, n, 3) for a, b in ((t, t + 1), (t, t + 2), (t + 1, t + 2))]
+        assert triangle_covered(n, np.array(tri, dtype=np.int64))
+        assert not triangle_covered(n, np.array(tri[:-1], dtype=np.int64))
+
     def test_connected_matches_components(self):
         rnd = random.Random(52)
         for _ in range(1500):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,7 @@ from conftest import (
     brute_triangle_classes,
     random_graph,
 )
+from test_cuts import certificate_corpus
 
 
 def paper_graph():
@@ -361,12 +363,14 @@ class TestNacEnumerate:
         # the default counts 18 such classes but not 19 (a 20-vertex path)
         assert 2**18 - 1 <= DEFAULT_NODE_BUDGET < 2**19 - 1
 
-    def test_class_ceiling_refusal(self):
+    def test_many_classes_bounded_by_budget_alone(self):
+        # 27 triangle classes: no class ceiling refuses the star, the cap or
+        # the node budget stops the search
         star = Graph.from_edges(28, [(0, i) for i in range(1, 28)])
-        with pytest.raises(PreconditionError, match="triangle classes"):
-            nac_enumerate(star)
-        part = nac_enumerate(star, cap=4, force=True)
+        part = nac_enumerate(star, cap=4)
         assert not part.complete and len(part.colourings) == 4
+        with pytest.raises(BudgetExceeded):
+            nac_enumerate(star, node_budget=1000)
 
     def test_triangle_class_soundness(self):
         rnd = random.Random(26)
@@ -676,3 +680,58 @@ def test_verdicts_match_frozen_outputs():
     for got, want in zip(rows, golden["rows"]):
         assert got == want
     assert digest == golden["sha256"]
+
+
+# -- frozen search --------------------------------------------------------------
+
+GOLDEN_SEARCH = Path(__file__).parent / "data" / "nac_search_golden.json"
+EXISTS_BUDGETS = (1, 3, 10, 40, DEFAULT_NODE_BUDGET)
+# a count that needs more nodes is recorded as budget-exceeded; the default
+# budget would add half a minute over the corpus
+COUNT_BUDGET = 10_000
+
+
+def search_corpus():
+    """The cut-certificate corpus, then edgeless graphs."""
+    yield from certificate_corpus()
+    for n in (0, 1, 2, 7):
+        yield Graph(n, ())
+
+
+def _red_edges(c: EdgeColouring | None):
+    return None if c is None else [list(e) for e in c.edges_of(Colour.RED)]
+
+
+def search_records(graphs) -> list[list]:
+    """Per graph [n, m, the first 8 colourings of the class-colouring search
+    (then "budget-exceeded" if it ran out first), nac_exists at each of
+    EXISTS_BUDGETS, nac_count within COUNT_BUDGET]; a colouring is its list
+    of red edges, and an exceeded budget reads "budget-exceeded"."""
+    rows = []
+    for g in graphs:
+        first = []
+        try:
+            for c in islice(nacflex.nac._iter_nac_colourings(g, DEFAULT_NODE_BUDGET), 8):
+                first.append(_red_edges(c))
+        except BudgetExceeded:
+            first.append("budget-exceeded")
+        exists = []
+        for budget in EXISTS_BUDGETS:
+            try:
+                exists.append(_red_edges(nac_exists(g, node_budget=budget)))
+            except BudgetExceeded:
+                exists.append("budget-exceeded")
+        try:
+            count = nac_count(g, node_budget=COUNT_BUDGET)
+        except BudgetExceeded:
+            count = "budget-exceeded"
+        rows.append([g.n, g.m, first, exists, count])
+    return rows
+
+
+def test_search_matches_frozen_outputs():
+    golden = json.loads(GOLDEN_SEARCH.read_text())
+    rows = search_records(search_corpus())
+    assert len(rows) == len(golden["rows"])
+    for got, want in zip(rows, golden["rows"]):
+        assert got == want
