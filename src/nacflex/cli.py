@@ -5,10 +5,10 @@ Verbs: nac, cut, rand, process, flex, experiment.  Exit codes: 0 on success,
 which `flex build` cannot sample separated base vectors), 3 on I/O failures.
 A search or sampler that runs out of its budget prints
 {"result": "budget-exceeded"} and exits 0.  Every `--budget` flag is a
-search-node count (default DEFAULT_NODE_BUDGET), so identical seeds always
-give identical outputs.  The budget is the only limit of `nac count`,
-`nac enumerate` and `nac find`; `--force` exists only on `experiment sweep`,
-to pass its n ceilings.
+search-node count of at least 1 (default DEFAULT_NODE_BUDGET), so identical
+seeds always give identical outputs.  The budget is the only limit of
+`nac count`, `nac enumerate` and `nac find`; `--force` exists only on
+`experiment sweep`, to pass its n ceilings.
 """
 
 from __future__ import annotations
@@ -34,6 +34,15 @@ from .randmodels import (
     process,
     regular_configuration,
 )
+
+
+def _budget(text: str) -> int:
+    """A `--budget` value: a search-node count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
@@ -257,18 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = nac_sub.add_parser("count", help="exact number of NAC-colourings")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_nac_count)
 
     p = nac_sub.add_parser("find", help="find one NAC-colouring")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_nac_find)
 
     p = nac_sub.add_parser("enumerate", help="list NAC-colourings")
     p.add_argument("graph")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_nac_enumerate)
 
     p = nac_sub.add_parser(
@@ -286,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cut", help="stable/firm cut decisions")
     p.add_argument("kind", choices=["stable", "firm", "sprime"])
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_cut)
 
     p = sub.add_parser("rand", help="random graph generators")
@@ -308,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_process_trace)
 
     p_flex = sub.add_parser("flex", help="flexible realisations")
@@ -329,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, nargs="+", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--workers", type=int, default=1)
@@ -340,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--workers", type=int, default=1)

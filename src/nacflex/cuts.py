@@ -245,14 +245,20 @@ def sprime_holds(
     scan over non-adjacent pairs u, v with N(u) | N(v) stable and something
     left over), or two residual components spanning an edge each (the
     separator search, whose leftover always spans one).
+
+    N(u) | N(v) can be stable only if N(u) and N(v) are, so the pair scan
+    runs over the vertices with a stable neighbourhood alone.  At the
+    triangle-cover step there are none.  The pairs keep their order, so the
+    first violating pair and its certificate are the same.
     """
     n = g.n
     if n == 0:
         return True, None
     masks = g.adjacency_masks
     full = (1 << n) - 1
-    for u in range(n):
-        for v in range(u + 1, n):
+    stable_nbhd = [u for u in range(n) if mask_is_stable(masks, masks[u])]
+    for k, u in enumerate(stable_nbhd):
+        for v in stable_nbhd[k + 1 :]:
             if (masks[u] >> v) & 1:
                 continue
             s_mask = masks[u] | masks[v]

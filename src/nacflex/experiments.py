@@ -183,6 +183,8 @@ class SweepSpec:
             )
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
+        if self.node_budget < 1:
+            raise PreconditionError("node_budget must be >= 1")
         if not self.n_values:
             raise PreconditionError("at least one n value is required")
         if any(n < 2 for n in self.n_values):
@@ -327,6 +329,8 @@ def hitting_equality_experiment(
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
+    if node_budget < 1:
+        raise PreconditionError("node_budget must be >= 1")
     if any(n < 3 for n in n_values):
         raise PreconditionError("hitting times need n >= 3")
     tasks = [

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .unionfind import UnionFind
-
 __all__ = [
     "Graph",
     "ComponentLabelling",
@@ -315,19 +313,38 @@ def triangle_count(g: Graph) -> int:
 
 def triangle_classes(g: Graph) -> TriangleClasses:
     """Union-find over edges, merging the three edges of each triangle.
-    Searches read the cached `Graph.triangle_classes` instead."""
-    uf = UnionFind(g.m)
+    Searches read the cached `Graph.triangle_classes` instead.
+
+    The union-find is a local parent list with path halving, not a
+    `UnionFind`, whose method calls cost more than the merging itself.
+    Every root is the least edge of its class, so parent[e] <= e, and one
+    ascending pass resolves each edge to its root."""
+    parent = list(range(g.m))
     index = g.edge_index
     for i, ((u, v), apexes) in enumerate(zip(g.edges, triangle_apexes(g))):
+        if not apexes:
+            continue
+        root = i
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
         while apexes:
             low = apexes & -apexes
             x = v + low.bit_length()
             apexes ^= low
-            uf.union(i, index[u, x])
-            uf.union(i, index[v, x])
+            for j in (index[u, x], index[v, x]):
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if j < root:
+                    parent[root] = root = j
+                elif j > root:
+                    parent[j] = root
     classes: dict[int, list[int]] = {}
-    for e in range(g.m):
-        classes.setdefault(uf.find(e), []).append(e)
+    for e, r in enumerate(parent):
+        if r == e:
+            classes[e] = [e]
+        else:
+            r = parent[e] = parent[r]
+            classes[r].append(e)
     return TriangleClasses(tuple(classes.values()))
 
 

@@ -4,10 +4,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nacflex
 from nacflex import flex
 from nacflex.cli import main
-from nacflex.graphs import Graph, complete_bipartite, cycle_graph, path_graph, save_graph
+from nacflex.graphs import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    save_graph,
+)
 from nacflex.nac import Colour, EdgeColouring
 
 
@@ -58,8 +67,6 @@ class TestNacCommands:
         assert code == 0 and json.loads(out)["is_nac"] is True
 
     def test_check_failure_certificate(self, tmp_path, capsys):
-        from nacflex.graphs import complete_graph
-
         cpath = tmp_path / "c.json"
         write_colouring(cpath, EdgeColouring.from_red_edges(complete_graph(3), [(0, 1)]))
         code, out, _ = run(capsys, "nac", "check", str(cpath))
@@ -135,8 +142,6 @@ class TestCutCommands:
         assert data["kind"] == "stable"
 
     def test_none(self, tmp_path, capsys):
-        from nacflex.graphs import complete_graph
-
         gpath = tmp_path / "k4.txt"
         save_graph(complete_graph(4), gpath)
         for kind, expect in (("stable", "none"), ("firm", "none"), ("sprime", "holds")):
@@ -228,6 +233,33 @@ class TestBudgetExceeded:
             "--max-rejects", "0",
         )
         assert code == 0 and json.loads(out) == {"result": "budget-exceeded"}
+
+
+# every verb that takes --budget, with the other arguments it needs
+BUDGET_VERBS = (
+    ("nac", "count", "GRAPH"),
+    ("nac", "find", "GRAPH"),
+    ("nac", "enumerate", "GRAPH"),
+    ("cut", "stable", "GRAPH"),
+    ("cut", "firm", "GRAPH"),
+    ("cut", "sprime", "GRAPH"),
+    ("process", "trace", "--n", "6", "--seed", "4"),
+    ("experiment", "sweep", "--property", "S", "--n", "10", "--c", "1.0",
+     "--trials", "1", "--seed", "1"),
+    ("experiment", "hitting", "--n", "6", "--trials", "1", "--seed", "1"),
+)
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("argv", BUDGET_VERBS, ids=lambda argv: " ".join(argv[:2]))
+def test_budget_below_one_exit_2(argv, budget, tmp_path, capsys):
+    # no search runs, so "budget-exceeded" would be a wrong answer
+    gpath = tmp_path / "k3.txt"
+    save_graph(complete_graph(3), gpath)
+    argv = [str(gpath) if a == "GRAPH" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--budget", budget)
+    assert code == 2 and out == ""
+    assert "--budget" in err and "Traceback" not in err
 
 
 def test_python_m_nacflex():

@@ -48,6 +48,11 @@ class TestSpecValidation:
         with pytest.raises(PreconditionError, match="trials"):
             SweepSpec("T", (10,), (1.0,), 0, 1).validate()
 
+    def test_bad_budget(self):
+        for budget in (0, -1):
+            with pytest.raises(PreconditionError, match="node_budget"):
+                SweepSpec("T", (10,), (1.0,), 5, 1, budget).validate()
+
     def test_bad_c(self):
         with pytest.raises(PreconditionError, match="positive"):
             SweepSpec("T", (10,), (0.0,), 5, 1).validate()
@@ -183,6 +188,18 @@ class TestHittingExperiment:
     def test_requires_n3(self):
         with pytest.raises(PreconditionError):
             hitting_equality_experiment((2,), 5, 1)
+
+    def test_requires_a_budget_of_at_least_one(self):
+        for budget in (0, -1):
+            with pytest.raises(PreconditionError, match="node_budget"):
+                hitting_equality_experiment((8,), 5, 1, node_budget=budget)
+
+    def test_identity_checked_traces_at_n60(self):
+        # an identity failure raises RuntimeError; the equality fractions are
+        # not asserted
+        row = hitting_equality_experiment((60,), 48, 20261019, check_identity=True).rows[0]
+        assert row.trials == 48
+        assert row.ordering_violations == 0 and row.budget_exceeded == 0
 
     def test_deterministic_across_workers(self):
         a = hitting_equality_experiment((8,), 10, 7, workers=1)

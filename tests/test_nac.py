@@ -206,12 +206,20 @@ class TestTriangleClasses:
         assert members == {tri1, tri2}
 
     def test_matches_brute_force(self):
+        # the NAC search's tie-break reads the order, so compare lists:
+        # classes in order of least edge, members ascending
         rnd = random.Random(23)
-        for _ in range(2000):
-            g = random_graph(rnd, 1, 8)
-            tc = triangle_classes(g)
-            expected = {frozenset(grp) for grp in brute_triangle_classes(g)}
-            assert {frozenset(m) for m in tc.classes} == expected
+        graphs = [random_graph(rnd, 1, 8) for _ in range(2000)]
+        for _ in range(200):
+            n, p = rnd.randint(4, 12), rnd.uniform(0.5, 1.0)
+            graphs.append(Graph.from_edges(n, [e for e in all_pairs(n) if rnd.random() < p]))
+        for n in (20, 30):
+            for i in range(3):
+                trace = process(n, RandomSource(23).derive(n, i))
+                graphs.append(trace.prefix_graph(hitting_times(trace).tau_T))
+        for g in graphs:
+            expected = sorted(sorted(grp) for grp in brute_triangle_classes(g))
+            assert list(triangle_classes(g).classes) == expected
 
 
 def record_builds(monkeypatch, original) -> list[Graph]:
