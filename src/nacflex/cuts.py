@@ -31,7 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
+from .errors import (
+    DEFAULT_NODE_BUDGET,
+    BudgetExceeded,
+    PreconditionError,
+    check_node_budget,
+)
 from .graphs import (
     Graph,
     as_vertex_set,
@@ -182,6 +187,7 @@ def stable_cut_exists(
 
     Raises BudgetExceeded when the search budget ran out first.
     """
+    check_node_budget(node_budget)
     if g.n == 0:
         return None
     if components(g).count >= 2:
@@ -212,6 +218,7 @@ def firm_cut_exists(
     An isolated vertex left over would be a singleton component, so every
     candidate S takes all of them.
     """
+    check_node_budget(node_budget)
     masks = g.adjacency_masks
     iso_mask = 0
     for v in range(g.n):
@@ -251,6 +258,7 @@ def sprime_holds(
     triangle-cover step there are none.  The pairs keep their order, so the
     first violating pair and its certificate are the same.
     """
+    check_node_budget(node_budget)
     n = g.n
     if n == 0:
         return True, None

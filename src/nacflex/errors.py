@@ -1,7 +1,14 @@
-"""Shared exception types and the default search budget."""
+"""Shared exception types, the default search budget and its check."""
 
 # Default node budget of every bounded search, in the library and the CLI.
 DEFAULT_NODE_BUDGET = 500_000
+
+
+def check_node_budget(node_budget: int) -> None:
+    """Refuse a budget below 1: a search that counts no node would answer
+    some graphs before its first node and give up on the rest."""
+    if node_budget < 1:
+        raise PreconditionError("node_budget must be >= 1")
 
 
 class BudgetExceeded(RuntimeError):
@@ -18,4 +25,4 @@ class PreconditionError(ValueError):
 
 class CycleSpaceTooLarge(ValueError):
     """The literal cycle-enumeration oracle refused an instance whose cycle
-    space exceeds the configured budget."""
+    space dimension exceeds `nac.MAX_CYCLE_SPACE_DIM`."""

@@ -20,8 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .cuts import decompose_s, sprime_holds, stable_cut_exists
-from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
-from .graphs import Graph, mask_is_stable
+from .errors import (
+    DEFAULT_NODE_BUDGET,
+    BudgetExceeded,
+    PreconditionError,
+    check_node_budget,
+)
+from .graphs import Graph, connection_step, mask_is_stable
 from .nac import EdgeColouring, nac_check, nac_exists
 from .randmodels import (
     RandomSource,
@@ -31,7 +36,6 @@ from .randmodels import (
     process,
     regular_configuration,
 )
-from .unionfind import UnionFind
 
 __all__ = [
     "PROPERTIES",
@@ -48,7 +52,6 @@ __all__ = [
     "regular_nac_lower_bound",
     "emit",
     "triangle_covered",
-    "edges_connected",
 ]
 
 PROPERTIES = ("T", "S", "Sprime", "N", "NoStableCut", "Connected")
@@ -101,23 +104,13 @@ def triangle_covered(n: int, pairs: np.ndarray) -> bool:
     return len(covered) == n
 
 
-def edges_connected(n: int, pairs: np.ndarray) -> bool:
-    if n <= 1:
-        return True
-    uf = UnionFind(n)
-    for u, v in pairs.tolist():
-        uf.union(u, v)
-        if uf.count == 1:
-            return True
-    return uf.count == 1
-
-
 def _decide(prop: str, n: int, pairs: np.ndarray, node_budget: int) -> bool:
     if prop == "T":
         return triangle_covered(n, pairs)
+    edges = pairs.tolist()
     if prop == "Connected":
-        return edges_connected(n, pairs)
-    g = Graph.from_edges(n, pairs.tolist())
+        return connection_step(n, edges) is not None
+    g = Graph.from_edges(n, edges)
     if prop == "NoStableCut":
         return stable_cut_exists(g, node_budget=node_budget) is None
     if prop == "S":
@@ -125,7 +118,7 @@ def _decide(prop: str, n: int, pairs: np.ndarray, node_budget: int) -> bool:
     if prop == "Sprime":
         return sprime_holds(g, node_budget=node_budget)[0]
     if prop == "N":
-        if not edges_connected(n, pairs):
+        if connection_step(n, edges) is None:
             return False
         return nac_exists(g, node_budget=node_budget) is None
     raise ValueError(f"unknown property {prop!r}")
@@ -183,8 +176,7 @@ class SweepSpec:
             )
         if self.trials < 1:
             raise PreconditionError("trials must be >= 1")
-        if self.node_budget < 1:
-            raise PreconditionError("node_budget must be >= 1")
+        check_node_budget(self.node_budget)
         if not self.n_values:
             raise PreconditionError("at least one n value is required")
         if any(n < 2 for n in self.n_values):
@@ -329,8 +321,7 @@ def hitting_equality_experiment(
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    if node_budget < 1:
-        raise PreconditionError("node_budget must be >= 1")
+    check_node_budget(node_budget)
     if any(n < 3 for n in n_values):
         raise PreconditionError("hitting times need n >= 3")
     tasks = [

@@ -24,6 +24,7 @@ __all__ = [
     "mask_is_stable",
     "mask_vertices",
     "components",
+    "connection_step",
     "induced_delete",
     "is_stable",
     "every_vertex_in_triangle",
@@ -251,6 +252,27 @@ def components(g: Graph) -> ComponentLabelling:
     return ComponentLabelling.from_masks(g.n, comps)
 
 
+def connection_step(n: int, pairs: Iterable[Sequence[int]]) -> int | None:
+    """The least t such that the first t pairs connect all n vertices: 0 when
+    n <= 1, None when they never do.  Merges on a local parent list with
+    path halving, like `triangle_classes`."""
+    if n <= 1:
+        return 0
+    parent = list(range(n))
+    parts = n
+    for t, (u, v) in enumerate(pairs, 1):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            parts -= 1
+            if parts == 1:
+                return t
+    return None
+
+
 def induced_delete(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """G - S, plus the remap table: kept[i] is the original id of new vertex i."""
     s_set = set(as_vertex_set(g, s))
@@ -266,34 +288,21 @@ def is_stable(g: Graph, s: Iterable[int]) -> bool:
     return mask_is_stable(g.adjacency_masks, sum(1 << v for v in as_vertex_set(g, s)))
 
 
-# Not triangle_apexes: this scan needs no bitmasks and stops at the first uncovered vertex.
 def every_vertex_in_triangle(g: Graph) -> tuple[bool, int | None]:
-    """True iff each vertex has two adjacent neighbours; else (False, witness).
-
-    Per-vertex test by sorted-adjacency intersection (merge scan).
-    """
-    adj = g.adjacency
-    for v in range(g.n):
-        nv = adj[v]
-        if len(nv) < 2:
-            return False, v
-        if not any(_sorted_intersects(nv, adj[u]) for u in nv):
+    """True iff each vertex has two adjacent neighbours; else (False, the
+    least vertex in no triangle).  v is in one iff the mask of some
+    neighbour meets N(v)."""
+    masks = g.adjacency_masks
+    for v, nv in enumerate(masks):
+        rest = nv
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if masks[low.bit_length() - 1] & nv:
+                break
+        else:
             return False, v
     return True, None
-
-
-def _sorted_intersects(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            return True
-        if x < y:
-            i += 1
-        else:
-            j += 1
-    return False
 
 
 def triangle_apexes(g: Graph) -> list[int]:
@@ -315,10 +324,10 @@ def triangle_classes(g: Graph) -> TriangleClasses:
     """Union-find over edges, merging the three edges of each triangle.
     Searches read the cached `Graph.triangle_classes` instead.
 
-    The union-find is a local parent list with path halving, not a
-    `UnionFind`, whose method calls cost more than the merging itself.
-    Every root is the least edge of its class, so parent[e] <= e, and one
-    ascending pass resolves each edge to its root."""
+    The union-find is a local parent list with path halving: method calls
+    would cost more than the merging itself.  Every root is the least edge
+    of its class, so parent[e] <= e, and one ascending pass resolves each
+    edge to its root."""
     parent = list(range(g.m))
     index = g.edge_index
     for i, ((u, v), apexes) in enumerate(zip(g.edges, triangle_apexes(g))):

@@ -31,6 +31,7 @@ from .errors import (
     BudgetExceeded,
     CycleSpaceTooLarge,
     PreconditionError,
+    check_node_budget,
 )
 from .graphs import (
     ComponentLabelling,
@@ -40,6 +41,7 @@ from .graphs import (
     bipartition,
     component_masks,
     components,
+    connection_step,
     graph_from_json_dict,
     graph_to_json_dict,
     is_stable,
@@ -47,7 +49,7 @@ from .graphs import (
     mask_vertices,
     triangle_classes,
 )
-from .unionfind import RollbackUnionFind, UnionFind
+from .unionfind import RollbackUnionFind
 
 __all__ = [
     "Colour",
@@ -69,11 +71,16 @@ __all__ = [
     "bipartite_stable_nac",
     "monochromatic_cover_stats",
     "MAX_WITNESSES",
+    "MAX_CYCLE_SPACE_DIM",
 ]
 
 # stable_witnesses(mode="all") without a size_cap lists no more (README,
 # "Scale defaults", has the measurement)
 MAX_WITNESSES = 1 << 16
+
+# the cycle-definition oracle enumerates all 2^dim members of the cycle space
+# and refuses a larger dimension
+MAX_CYCLE_SPACE_DIM = 16
 
 
 class Colour(str, Enum):
@@ -259,7 +266,7 @@ def _monochromatic_path(masks: list[int], start: int, goal: int) -> tuple[int, .
 
 
 @lru_cache(maxsize=4096)
-def simple_cycle_edge_masks(g: Graph, max_dim: int = 16) -> tuple[int, ...]:
+def simple_cycle_edge_masks(g: Graph) -> tuple[int, ...]:
     """Edge-index bitmasks of all simple cycles of g.
 
     Enumerates the cycle space from a fundamental basis (Gray-code iteration)
@@ -268,9 +275,9 @@ def simple_cycle_edge_masks(g: Graph, max_dim: int = 16) -> tuple[int, ...]:
     """
     basis = _fundamental_cycle_masks(g)
     dim = len(basis)
-    if dim > max_dim:
+    if dim > MAX_CYCLE_SPACE_DIM:
         raise CycleSpaceTooLarge(
-            f"cycle space dimension {dim} exceeds budget {max_dim}"
+            f"cycle space dimension {dim} exceeds budget {MAX_CYCLE_SPACE_DIM}"
         )
     cycles = []
     mask = 0
@@ -324,7 +331,7 @@ def _fundamental_cycle_masks(g: Graph) -> list[int]:
 
 def _is_simple_cycle(g: Graph, mask: int) -> bool:
     degree: dict[int, int] = {}
-    n_edges = 0
+    edges = []
     m = mask
     while m:
         i = (m & -m).bit_length() - 1
@@ -332,30 +339,22 @@ def _is_simple_cycle(g: Graph, mask: int) -> bool:
         u, v = g.edges[i]
         degree[u] = degree.get(u, 0) + 1
         degree[v] = degree.get(v, 0) + 1
-        n_edges += 1
-    if n_edges < 3 or n_edges != len(degree):
+        edges.append((u, v))
+    if len(edges) < 3 or len(edges) != len(degree):
         return False
     if any(d != 2 for d in degree.values()):
         return False
     # connected 2-regular with #edges == #vertices => a single cycle
-    verts = list(degree)
-    ids = {v: i for i, v in enumerate(verts)}
-    uf = UnionFind(len(verts))
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        u, v = g.edges[i]
-        uf.union(ids[u], ids[v])
-    return uf.count == 1
+    ids = {v: i for i, v in enumerate(degree)}
+    return connection_step(len(ids), [(ids[u], ids[v]) for u, v in edges]) is not None
 
 
-def nac_check_oracle(c: EdgeColouring, max_dim: int = 16) -> bool:
+def nac_check_oracle(c: EdgeColouring) -> bool:
     """Apply the cycle definition literally: test only; small instances."""
     if not c.is_surjective():
         return False
     red = c.red_mask
-    for cyc in simple_cycle_edge_masks(c.graph, max_dim):
+    for cyc in simple_cycle_edge_masks(c.graph):
         size = bin(cyc).count("1")
         reds = bin(cyc & red).count("1")
         if reds == 1 or size - reds == 1:
@@ -446,6 +445,7 @@ def nac_exists(
     Raises BudgetExceeded when the search space was not exhausted in time;
     that outcome is distinct from None.
     """
+    check_node_budget(node_budget)
     if g.triangle_classes.count < 2:
         return None
     return next(_iter_nac_colourings(g, node_budget), None)
@@ -466,6 +466,7 @@ def nac_enumerate(
     """
     if cap is not None and cap < 1:
         raise PreconditionError("cap must be >= 1")
+    check_node_budget(node_budget)
     found: list[EdgeColouring] = []
     complete = True
     for c in _iter_nac_colourings(g, node_budget):
@@ -480,9 +481,10 @@ def nac_enumerate(
 
 
 def nac_count(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    result = nac_enumerate(g, node_budget=node_budget)
-    assert result.count is not None
-    return result.count
+    """The number of NAC-colourings, red/blue swaps counted as distinct: twice
+    the search's yields, counted without keeping any."""
+    check_node_budget(node_budget)
+    return 2 * sum(1 for _ in _iter_nac_colourings(g, node_budget))
 
 
 # -- stable NAC-colourings ----------------------------------------------------

@@ -19,9 +19,8 @@ import numpy as np
 
 from . import cuts as _cuts
 from . import nac as _nac
-from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded
-from .graphs import Graph, components
-from .unionfind import UnionFind
+from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, check_node_budget
+from .graphs import Graph, components, connection_step
 
 __all__ = [
     "RandomSource",
@@ -205,8 +204,8 @@ def hitting_times(
     node_budget: int = DEFAULT_NODE_BUDGET,
     check_identity: bool = False,
 ) -> HittingRecord:
-    """tau_conn and tau_T by one incremental scan; tau_S and tau_N by galloping
-    up from tau_T, then bisecting the last gap.
+    """tau_conn by `connection_step` and tau_T by an incremental scan;
+    tau_S and tau_N by galloping up from tau_T, then bisecting the last gap.
 
     The searched properties are monotone: no-stable-cut (with the empty-cut
     convention) and connected-with-no-NAC-colouring.  Both are bracketed below
@@ -227,33 +226,25 @@ def hitting_times(
     n = trace.n
     if n < 3:
         raise ValueError("hitting times need n >= 3")
+    check_node_budget(node_budget)
     edge_lists = trace.pairs().tolist()
     total = trace.total
+    tau_conn = connection_step(n, edge_lists)
 
-    # One pass finds both.  It cannot stop at tau_T: a prefix can put every
-    # vertex in a triangle and still be disconnected (two disjoint triangles).
     # The scan is incremental because tau_T is a first step: the static
-    # triangle_apexes kernel would rebuild every prefix.
+    # triangle_apexes kernel would rebuild every prefix.  It always breaks,
+    # since K_n puts every vertex in a triangle.
     full = (1 << n) - 1
-    uf = UnionFind(n)
     adj = [0] * n
     in_tri = 0
-    tau_conn = tau_t = 0
-    for t, (u, v) in enumerate(edge_lists, 1):
-        if not tau_conn:
-            uf.union(u, v)
-            if uf.count == 1:
-                tau_conn = t
-        if not tau_t:
-            common = adj[u] & adj[v]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            if common:
-                in_tri |= common | (1 << u) | (1 << v)
-                if in_tri == full:
-                    tau_t = t
-        if tau_conn and tau_t:
-            break
+    for tau_t, (u, v) in enumerate(edge_lists, 1):
+        common = adj[u] & adj[v]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        if common:
+            in_tri |= common | (1 << u) | (1 << v)
+            if in_tri == full:
+                break
 
     @functools.cache
     def prefix(t: int) -> Graph:

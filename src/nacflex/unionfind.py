@@ -1,40 +1,12 @@
-"""Array-indexed union-find structures.
+"""The undoable union-find of the NAC search.
 
-`UnionFind` is the throwaway kind (path compression, union by size).
-`RollbackUnionFind` trades compression for an undo trail so backtracking
-searches can snapshot and restore in O(changes).
+`RollbackUnionFind` trades path compression for an undo trail so the
+backtracking search can snapshot and restore in O(changes).  One-shot
+merging (`graphs.connection_step`, `graphs.triangle_classes`) uses a local
+parent list instead.
 """
 
 from __future__ import annotations
-
-
-class UnionFind:
-    __slots__ = ("parent", "size", "count")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.count -= 1
-        return True
 
 
 class RollbackUnionFind:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nacflex import experiments
+from nacflex.cuts import decompose_s, firm_cut_exists, sprime_holds, stable_cut_exists
 from nacflex.errors import PreconditionError
 from nacflex.experiments import (
     HittingResult,
@@ -17,7 +18,6 @@ from nacflex.experiments import (
     SweepResult,
     SweepRow,
     SweepSpec,
-    edges_connected,
     emit,
     hitting_equality_experiment,
     regular_nac_lower_bound,
@@ -25,8 +25,16 @@ from nacflex.experiments import (
     sweep_trial_outcomes,
     triangle_covered,
 )
-from nacflex.graphs import Graph, components, every_vertex_in_triangle
-from nacflex.randmodels import p_star, pairs_from_indices
+from nacflex.graphs import (
+    Graph,
+    complete_graph,
+    components,
+    connection_step,
+    every_vertex_in_triangle,
+    path_graph,
+)
+from nacflex.nac import nac_count, nac_enumerate, nac_exists
+from nacflex.randmodels import RandomSource, hitting_times, p_star, pairs_from_indices, process
 
 from conftest import random_graph
 
@@ -37,6 +45,37 @@ def as_pairs(g: Graph) -> np.ndarray:
         if g.m
         else np.zeros((0, 2), dtype=np.int64)
     )
+
+
+# Without the check, budget 0 let nac_exists(K3) answer None and
+# stable_cut_exists(P3) a certificate, while the others ran out of budget.
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda b: stable_cut_exists(path_graph(3), node_budget=b),
+        lambda b: firm_cut_exists(path_graph(3), node_budget=b),
+        lambda b: sprime_holds(path_graph(3), node_budget=b),
+        lambda b: decompose_s(path_graph(3), node_budget=b),
+        lambda b: nac_exists(complete_graph(3), node_budget=b),
+        lambda b: nac_enumerate(complete_graph(3), node_budget=b),
+        lambda b: nac_count(complete_graph(3), node_budget=b),
+        lambda b: hitting_times(process(8, RandomSource(1)), node_budget=b),
+    ],
+    ids=[
+        "stable_cut_exists",
+        "firm_cut_exists",
+        "sprime_holds",
+        "decompose_s",
+        "nac_exists",
+        "nac_enumerate",
+        "nac_count",
+        "hitting_times",
+    ],
+)
+def test_searches_refuse_a_budget_below_one(search, budget):
+    with pytest.raises(PreconditionError, match="node_budget"):
+        search(budget)
 
 
 class TestSpecValidation:
@@ -102,10 +141,24 @@ class TestFastChecks:
         assert not triangle_covered(n, np.array(tri[:-1], dtype=np.int64))
 
     def test_connected_matches_components(self):
+        # connection_step is the first prefix with one component, or None
         rnd = random.Random(52)
         for _ in range(1500):
             g = random_graph(rnd, 1, 10)
-            assert edges_connected(g.n, as_pairs(g)) == (components(g).count <= 1)
+            pairs = list(g.edges)
+            rnd.shuffle(pairs)
+            expected = next(
+                (
+                    t
+                    for t in range(len(pairs) + 1)
+                    if components(Graph.from_edges(g.n, pairs[:t])).count <= 1
+                ),
+                None,
+            )
+            assert connection_step(g.n, pairs) == expected
+        assert connection_step(0, []) == connection_step(1, []) == 0
+        assert connection_step(4, [(0, 1), (2, 3), (1, 0)]) is None
+        assert connection_step(3, [(0, 1), (1, 0), (2, 1), (0, 2)]) == 3
 
 
 class TestSweep:

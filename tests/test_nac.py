@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from itertools import islice
 from pathlib import Path
 
@@ -178,7 +179,7 @@ class TestOracle:
         from nacflex.errors import CycleSpaceTooLarge
 
         with pytest.raises(CycleSpaceTooLarge):
-            simple_cycle_edge_masks(complete_graph(8), max_dim=16)
+            simple_cycle_edge_masks(complete_graph(8))
 
 
 class TestTriangleClasses:
@@ -370,6 +371,20 @@ class TestNacEnumerate:
             nac_count(g, node_budget=2**10 - 2)
         # the default counts 18 such classes but not 19 (a 20-vertex path)
         assert 2**18 - 1 <= DEFAULT_NODE_BUDGET < 2**19 - 1
+
+    def test_count_keeps_no_colouring(self):
+        # K12 is one class and each of the 12 pendant path edges another, so
+        # all 2^13 - 2 colourings pass; listing them peaked at 11.2 MB
+        clique = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+        g = Graph.from_edges(24, clique + [(i, i + 1) for i in range(11, 23)])
+        tracemalloc.start()
+        try:
+            count = nac_count(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 8190
+        assert peak < 2 * 2**20
 
     def test_many_classes_bounded_by_budget_alone(self):
         # 27 triangle classes: no class ceiling refuses the star, the cap or

@@ -29,6 +29,8 @@ from nacflex.randmodels import (
     replay_trace,
 )
 
+from conftest import brute_vertex_in_triangle
+
 
 class TestRandomSource:
     def test_reproducible(self):
@@ -206,10 +208,10 @@ class TestHitting:
         for n in (8, 10, 12):
             for trial in range(6):
                 tr = process(n, src.derive(n, trial))
-                expect = _linear_scan(tr, hitting_times(tr).tau_T)
+                expect = _linear_scan(tr)
                 for check_identity in (False, True):
                     rec = hitting_times(tr, check_identity=check_identity)
-                    assert (rec.tau_S, rec.tau_N) == expect
+                    assert (rec.tau_conn, rec.tau_T, rec.tau_S, rec.tau_N) == expect
 
     def test_gallop_reaches_the_cap(self, monkeypatch):
         # Two cliques {0,1,2} and {0,3..11} glued at the cut vertex 0 cover
@@ -236,7 +238,7 @@ class TestHitting:
         assert (rec.tau_T, rec.tau_S) == (17, 49)
         assert probed[:6] == [17, 18, 20, 24, 32, 48]
         assert all(48 < t < tr.total for t in probed[6:]) and probed[6:]
-        assert (rec.tau_S, rec.tau_N) == _linear_scan(tr, rec.tau_T)
+        assert (rec.tau_conn, rec.tau_T, rec.tau_S, rec.tau_N) == _linear_scan(tr)
 
     def test_identity_check_runs_once_per_probed_step(self, monkeypatch):
         decomposed, searched = Counter(), Counter()
@@ -270,20 +272,28 @@ class TestHitting:
         assert rec.tau_T <= rec.tau_S <= rec.tau_N
 
 
-def _linear_scan(tr, tau_t):
-    """(tau_S, tau_N) by testing every step from tau_T upwards."""
+def _linear_scan(tr):
+    """(tau_conn, tau_T, tau_S, tau_N) by testing every step: the first two
+    from step 0, tau_S and tau_N from tau_T upwards."""
+    steps = range(tr.total + 1)
+    tau_conn = next(t for t in steps if components(tr.prefix_graph(t)).count == 1)
+
+    def covered(g):
+        return all(brute_vertex_in_triangle(g, v) for v in range(g.n))
+
+    tau_t = next(t for t in steps if covered(tr.prefix_graph(t)))
     tau_s = next(
         t
-        for t in range(tau_t, tr.total + 1)
+        for t in steps[tau_t:]
         if stable_cut_exists(tr.prefix_graph(t)) is None
     )
     tau_n = next(
         t
-        for t in range(tau_t, tr.total + 1)
+        for t in steps[tau_t:]
         if components(tr.prefix_graph(t)).count == 1
         and nac_exists(tr.prefix_graph(t)) is None
     )
-    return tau_s, tau_n
+    return tau_conn, tau_t, tau_s, tau_n
 
 
 class TestRegularConfiguration:
