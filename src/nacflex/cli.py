@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Verbs: nac, cut, rand, process, flex, experiment.  Exit codes: 0 on success,
-2 on precondition violations (including argument errors, and a colouring for
-which `flex build` cannot sample separated base vectors), 3 on I/O failures.
+2 on precondition violations (including argument errors, a colouring for
+which `flex build` cannot sample separated base vectors, and an input too
+large for memory or for an index), 3 on I/O failures.
 A search or sampler that runs out of its budget prints
 {"result": "budget-exceeded"} and exits 0.  Every `--budget` flag is a
 search-node count of at least 1 (default DEFAULT_NODE_BUDGET), so identical
@@ -381,6 +382,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as exc:
+        reason = str(exc) or type(exc).__name__
+        print(f"error: input too large: {reason}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -42,6 +42,7 @@ __all__ = [
     "format_edge_list",
     "graph_to_json_dict",
     "graph_from_json_dict",
+    "json_int",
     "load_graph",
     "save_graph",
 ]
@@ -479,10 +480,18 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
 
 
+def json_int(x) -> int:
+    """A vertex count or vertex read from JSON: an integer, never a float,
+    which `int()` would truncate, nor a bool."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def graph_from_json_dict(d: dict) -> Graph:
     try:
-        n = int(d["n"])
-        edges = [(int(u), int(v)) for u, v in d["edges"]]
+        n = json_int(d["n"])
+        edges = [(json_int(u), json_int(v)) for u, v in d["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph JSON: {exc!r}") from exc
     return Graph.from_edges(n, edges)

@@ -45,11 +45,11 @@ from .graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
     is_stable,
+    json_int,
     mask_is_stable,
     mask_vertices,
     triangle_classes,
 )
-from .unionfind import RollbackUnionFind
 
 __all__ = [
     "Colour",
@@ -147,7 +147,7 @@ class EdgeColouring:
     @classmethod
     def from_json_dict(cls, d: dict) -> "EdgeColouring":
         try:
-            graph, red = d["graph"], [(int(u), int(v)) for u, v in d["red"]]
+            graph, red = d["graph"], [(json_int(u), json_int(v)) for u, v in d["red"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed colouring JSON: {exc!r}") from exc
         return cls.from_red_edges(graph_from_json_dict(graph), red)
@@ -374,10 +374,13 @@ def _iter_nac_colourings(g: Graph, node_budget: int):
     incrementally; violations prune the subtree): the NAC-colourings with
     the first class red.
 
-    The stack holds pending choices (depth, colour, red mark, blue mark,
-    #red edges, #blue edges), popped red before blue.  A pop rolls both
-    union-finds and both edge lists back to the marks, then colours class
-    order[depth]; every pop counts one node against node_budget.
+    One union-find over 2n nodes holds both colours: node v is v's red
+    component and node n + v its blue one.  It links by size without path
+    compression, so one trail of linked roots undoes both.  The stack holds
+    pending choices (depth, side, trail mark, #red edges, #blue edges), side
+    0 for red and 1 for blue, popped red before blue.  A pop rolls the trail
+    and both edge lists back to the marks, then colours class order[depth];
+    every pop counts one node against node_budget.
     """
     class_lists = g.triangle_classes.classes
     edges = g.edges
@@ -385,51 +388,63 @@ def _iter_nac_colourings(g: Graph, node_budget: int):
         range(len(class_lists)), key=lambda c: (-len(class_lists[c]), class_lists[c][0])
     )
     k = len(order)
-    red_uf = RollbackUnionFind(g.n)
-    blue_uf = RollbackUnionFind(g.n)
-    red: list[int] = []
-    blue: list[int] = []
+    n = g.n
+    parent = list(range(2 * n))
+    size = [1] * (2 * n)
+    trail: list[int] = []
+    coloured: tuple[list[int], list[int]] = ([], [])
 
-    def fits(cls, uf, other_uf, opposite) -> bool:
-        """Whether class cls can take uf's colour: none of its edges lies in a
-        component of other_uf, and once they are unioned into uf, no edge
-        of `opposite` lies in one of uf.  The next pop undoes the unions."""
+    def root(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def fits(cls, side: int) -> bool:
+        """Whether class cls can take colour `side`: none of its edges lies in
+        an other-colour component, and once they are unioned into this
+        colour, no other-colour edge lies in one of its components.  The
+        next pop undoes the unions."""
+        here, there = side * n, (1 - side) * n
         for e in cls:
             u, v = edges[e]
-            if other_uf.connected(u, v):
+            if root(there + u) == root(there + v):
                 return False
         for e in cls:
             u, v = edges[e]
-            uf.union(u, v)
-        for e in opposite:
+            a, b = root(here + u), root(here + v)
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                trail.append(b)
+        for e in coloured[1 - side]:
             u, v = edges[e]
-            if uf.connected(u, v):
+            if root(here + u) == root(here + v):
                 return False
         return True
 
     nodes = 0
-    stack = [(0, Colour.RED, 0, 0, 0, 0)] if k else []
+    stack = [(0, 0, 0, 0, 0)] if k else []
     while stack:
-        depth, col, red_mark, blue_mark, n_red, n_blue = stack.pop()
+        depth, side, mark, n_red, n_blue = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceeded(f"class-colouring search exceeded {node_budget} nodes")
-        red_uf.rollback(red_mark)
-        blue_uf.rollback(blue_mark)
+        while len(trail) > mark:
+            b = trail.pop()
+            size[parent[b]] -= size[b]
+            parent[b] = b
+        red, blue = coloured
         del red[n_red:], blue[n_blue:]
         cls = class_lists[order[depth]]
-        if col is Colour.RED:
-            ok = fits(cls, red_uf, blue_uf, blue)
-            red.extend(cls)
-        else:
-            ok = fits(cls, blue_uf, red_uf, red)
-            blue.extend(cls)
-        if not ok:
+        if not fits(cls, side):
             continue
+        coloured[side].extend(cls)
         if depth + 1 < k:
-            marks = (red_uf.mark(), blue_uf.mark(), len(red), len(blue))
-            stack.append((depth + 1, Colour.BLUE, *marks))
-            stack.append((depth + 1, Colour.RED, *marks))
+            marks = (len(trail), len(red), len(blue))
+            stack.append((depth + 1, 1, *marks))
+            stack.append((depth + 1, 0, *marks))
         elif blue:
             cols = [Colour.RED] * g.m
             for e in blue:

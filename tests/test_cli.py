@@ -331,6 +331,36 @@ class TestExperimentCommands:
         assert main(["nac", "count", str(bad)]) == 2
         bad.write_text('{"graph": {"n": 2, "edges": [[0, 1]]}}')
         assert main(["nac", "check", str(bad)]) == 2
+        capsys.readouterr()
+        # JSON takes integers only: int() would truncate 3.9 and 1.7 and read
+        # true as 1, and 1e400 (inf) would overflow
+        for graph in (
+            '{"n": 3.9, "edges": [[0, 1], [1, 2]]}',
+            '{"n": 3, "edges": [[0, 1.7], [true, 2]]}',
+            '{"n": 1e400, "edges": []}',
+        ):
+            bad.write_text(graph)
+            assert main(["nac", "count", str(bad)]) == 2
+        bad.write_text('{"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "red": [[0.2, 1.9]]}')
+        assert main(["nac", "check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("expected an integer") == 4
+
+    def test_input_too_large_exits_2(self, tmp_path, capsys, monkeypatch):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"n": 100000000000000000000, "edges": []}')
+        code, out, err = run(capsys, "nac", "count", str(huge))
+        assert code == 2 and out == "" and err.startswith("error: input too large:")
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(nacflex.cli, "gnp", out_of_memory)
+        code, out, err = run(
+            capsys, "rand", "gnp", "--n", "60000", "--p", "0.5", "--seed", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: input too large: MemoryError\n"
 
     def test_missing_file_exit_3(self, tmp_path, capsys):
         assert main(["nac", "count", str(tmp_path / "absent.json")]) == 3

@@ -3,7 +3,7 @@ import json
 import random
 import sys
 import tracemalloc
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -359,6 +359,34 @@ class TestNacEnumerate:
             expected = {
                 c.colours for c in all_colourings(g) if nac_check(c).is_nac
             }
+            got = {c.colours for c in nac_enumerate(g).colourings}
+            assert got == expected
+        # beyond the reach of the edge scan, scan the 2^k colourings that
+        # keep each of k <= 12 triangle classes one colour, which is enough
+        # (test_triangle_class_soundness): n = 8..16, and process prefixes
+        # one step before every vertex lies in a triangle
+        corpus = []
+        while len(corpus) < 30:
+            n = rnd.randint(8, 16)
+            g = Graph.from_edges(n, rnd.sample(all_pairs(n), rnd.randint(n, 3 * n)))
+            if 2 <= g.triangle_classes.count <= 12:
+                corpus.append(g)
+        for n in range(8, 17):
+            for i in range(3):
+                trace = process(n, RandomSource(44).derive(n, i))
+                corpus.append(trace.prefix_graph(hitting_times(trace).tau_T - 1))
+        for g in corpus:
+            classes = g.triangle_classes.classes
+            assert len(classes) <= 12
+            expected = set()
+            for pick in product(Colour, repeat=len(classes)):
+                cols = [Colour.RED] * g.m
+                for col, members in zip(pick, classes):
+                    for e in members:
+                        cols[e] = col
+                c = EdgeColouring(g, tuple(cols))
+                if nac_check(c).is_nac:
+                    expected.add(c.colours)
             got = {c.colours for c in nac_enumerate(g).colourings}
             assert got == expected
 
