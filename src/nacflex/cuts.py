@@ -24,7 +24,23 @@ settles every cut with a single-vertex component before it searches.  Only
 subtrees that yield nothing are cut, so the separators come in the order of
 the unpruned search and the certificates are the same.  The node budget
 stays: recognising a stable cutset is NP-complete (Chvatal 1984).
-Exhaustive subset scans are provided as test oracles.
+
+Most decisions the experiments make are "no" (from the triangle-cover step
+on, with high probability), and there the ordered search must exhaust its
+tree.  So each decision first tries to prove "no" from the small side.  Take
+an edge vw.  A stable S misses v or w; call it x.  The cover of x (x, N(x)
+and its triangle classes) lies in x's component union S, so every other
+component R of G - S is a connected set in U = V - cover[x] with a stable
+N(R).  Once the cuts and violations with single-vertex components are
+settled (the stable fast path and the S' pair scan; firm cuts have none),
+some such R has two vertices and leaves an edge over: in x's component, or
+in a third component.  The search confined to U, with the vertices outside
+U forced into S like those below the seed, finds that R, so when it finds
+no R of two vertices for v and none for w, no cut exists.  Only otherwise
+does the ordered search run, so certificates and yield order stay the
+same.  The proof and the ordered search share one node budget, in which
+each endpoint tried counts as one node.  Exhaustive subset scans are
+provided as test oracles.
 """
 
 from __future__ import annotations
@@ -122,43 +138,58 @@ def _close(masks, cover, a_mask: int, s_mask: int, t: int, below: int) -> int:
         known_s |= new_s
 
 
-def _iter_separators(g: Graph, node_budget: int):
-    """Yield (A_mask, S_mask) for every connected A with stable S = N(A) and
-    a leftover R outside A union S that spans an edge.
+def _node_counter(node_budget: int):
+    """One node count for all the searches of one decision: each call counts
+    a node, and the first past node_budget raises BudgetExceeded."""
+    nodes = 0
+
+    def count() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceeded(f"cut search exceeded {node_budget} nodes")
+
+    return count
+
+
+def _iter_separators(g: Graph, count, within: int = -1):
+    """Yield (A_mask, S_mask) for every connected A inside `within` with
+    stable S = N(A) and a leftover R outside A union S that spans an edge.
 
     Every stable cut with an edge outside one of its components A arises
     this way, and each candidate is generated exactly once by seeding A at
-    its minimum vertex: frontier vertices below the seed are forced into S.
+    its minimum vertex: frontier vertices below the seed, and those outside
+    `within`, are forced into S.
 
     Each node carries t, the union over v in A of v, N(v) and the vertices of
     every triangle class with an edge at v.  A yielded descendant's A union S
     contains t, because a triangle has at most one vertex in the stable S, so
     one with a vertex in A has two there, and every edge of a class with an
     edge at A touches A.  So t only grows, R avoids it, the vertices of t
-    below the seed end up in S, and the vertices of t next to that S end up
-    in A, which adds their covers to t (`_close`).  A node is dead, and its
-    subtree yields nothing, when that S is not stable or when full & ~t is
-    stable.  Dead subtrees are cut after their root is counted; the yield
-    order is that of the unpruned search.
+    below the seed or outside `within` end up in S, and the vertices of t
+    next to that S end up in A, which adds their covers to t (`_close`).  A
+    node is dead, and its subtree yields nothing, when that S is not stable
+    or when full & ~t is stable.  Dead subtrees are cut after their root is
+    counted; the yield order is that of the unpruned search.
 
     A stable cut whose leftover spans no edge has a single-vertex component
     r, so N(r) is a stable set whose removal cuts: `stable_cut_exists` finds
     those before it searches, and the firm and S' searches reject them.
-    Every popped node counts against node_budget.
+    Every popped node is counted by `count`.
     """
     n = g.n
     masks = g.adjacency_masks
     cover = g.class_covers
     full = (1 << n) - 1
-    nodes = 0
+    outside = full & ~within
     for seed in range(n):
-        below = (1 << seed) - 1
+        if (outside >> seed) & 1:
+            continue
+        below = ((1 << seed) - 1) | outside
         stack = [(1 << seed, masks[seed], 0, cover[seed])]
         while stack:
             a_mask, na_mask, s_mask, t = stack.pop()
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded(f"cut search exceeded {node_budget} nodes")
+            count()
             s_mask |= na_mask & below
             t = _close(masks, cover, a_mask, s_mask, t, below)
             if not t:
@@ -177,6 +208,43 @@ def _iter_separators(g: Graph, node_budget: int):
                 stack.append((a_mask, na_mask, s_mask | v_bit, t))
 
 
+def _no_cut_from_small_side(g: Graph, count) -> bool:
+    """True when, for both ends x of one edge, no connected A of two or more
+    vertices outside cover[x] has a stable N(A) and a leftover edge.
+
+    Then no stable cut whose components all have two vertices exists, nor an
+    S' violation with at most one single-vertex component (module
+    docstring).  The edge joins the vertex v with the largest cover to its
+    neighbour w with the largest cover, so that the regions searched are
+    small.  False when the graph has no edge.
+    """
+    if not g.m:
+        return False
+    masks = g.adjacency_masks
+    cover = g.class_covers
+    size = [c.bit_count() for c in cover]
+    v = max(range(g.n), key=size.__getitem__)
+    w = max(mask_vertices(masks[v]), key=size.__getitem__)
+    full = (1 << g.n) - 1
+    for x in (v, w):
+        count()
+        for a_mask, _ in _iter_separators(g, count, full & ~cover[x]):
+            if a_mask & (a_mask - 1):
+                return False
+    return True
+
+
+def _separators(g: Graph, node_budget: int):
+    """The ordered search's separators, or none when the small-side proof
+    shows that no cut the caller accepts exists; one node budget covers both.
+
+    Callers settle the cuts with single-vertex components first.
+    """
+    count = _node_counter(node_budget)
+    if not _no_cut_from_small_side(g, count):
+        yield from _iter_separators(g, count)
+
+
 # -- stable cuts --------------------------------------------------------------
 
 
@@ -185,7 +253,10 @@ def stable_cut_exists(
 ) -> CutCertificate | None:
     """A stable-cut certificate, or None when provably no stable cut exists.
 
-    Raises BudgetExceeded when the search budget ran out first.
+    After the fast path, the small-side proof decides most "no" instances
+    before the ordered search, whose first separator is the certificate.
+    Raises BudgetExceeded when the node budget, which the proof and the
+    search share, ran out first.
     """
     check_node_budget(node_budget)
     if g.n == 0:
@@ -202,7 +273,7 @@ def stable_cut_exists(
         if s_mask and mask_is_stable(masks, s_mask):
             if len(component_masks(masks, full & ~s_mask)) >= 2:
                 return _certificate(g, s_mask, "stable")
-    for _, s_mask in _iter_separators(g, node_budget):
+    for _, s_mask in _separators(g, node_budget):
         return _certificate(g, s_mask, "stable")
     return None
 
@@ -216,7 +287,8 @@ def firm_cut_exists(
     """A firm-cut certificate (all residual components >= 2 vertices), or None.
 
     An isolated vertex left over would be a singleton component, so every
-    candidate S takes all of them.
+    candidate S takes all of them.  The small-side proof decides most "no"
+    instances before the ordered search, on the same node budget.
     """
     check_node_budget(node_budget)
     masks = g.adjacency_masks
@@ -233,7 +305,7 @@ def firm_cut_exists(
     if firm_mask(0):
         return _certificate(g, iso_mask, "firm")
     # A is a residual component, so it needs two vertices too
-    for a_mask, s_mask in _iter_separators(g, node_budget):
+    for a_mask, s_mask in _separators(g, node_budget):
         if a_mask & (a_mask - 1) and firm_mask(s_mask):
             return _certificate(g, s_mask | iso_mask, "firm")
     return None
@@ -256,7 +328,9 @@ def sprime_holds(
     N(u) | N(v) can be stable only if N(u) and N(v) are, so the pair scan
     runs over the vertices with a stable neighbourhood alone.  At the
     triangle-cover step there are none.  The pairs keep their order, so the
-    first violating pair and its certificate are the same.
+    first violating pair and its certificate are the same.  After the pair
+    scan, the small-side proof decides most "holds" instances before the
+    ordered search, on the same node budget.
     """
     check_node_budget(node_budget)
     n = g.n
@@ -274,7 +348,7 @@ def sprime_holds(
                 continue
             if full & ~s_mask & ~(1 << u) & ~(1 << v):
                 return False, _certificate(g, s_mask, "sprime-violation")
-    for a_mask, s_mask in _iter_separators(g, node_budget):
+    for a_mask, s_mask in _separators(g, node_budget):
         # the leftover spans an edge; a connected A spans one when it has two
         # vertices
         if a_mask & (a_mask - 1):

@@ -4,7 +4,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nacflex import cuts
 from nacflex.cuts import (
     CutCertificate,
     decompose_s,
@@ -20,10 +23,12 @@ from nacflex.errors import BudgetExceeded, PreconditionError
 from nacflex.graphs import (
     Graph,
     complete_graph,
+    component_masks,
     components,
     cycle_graph,
     induced_delete,
     is_stable,
+    mask_is_stable,
     path_graph,
 )
 from nacflex.nac import Colour, nac_check, nac_check_oracle, nac_exists
@@ -366,3 +371,92 @@ def test_tau_t_prefixes_at_n60_need_few_nodes():
         # every vertex lies in a triangle, so no stable cut means S' holds
         assert (stable is None) == holds
         assert stable is not None or firm is None
+
+
+# -- the small-side proof --------------------------------------------------------
+
+
+def draw_graph(n, data):
+    """A graph on n vertices, some of them forced to be isolated."""
+    isolated = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+    pool = [e for e in all_pairs(n) if not isolated & set(e)]
+    edges = data.draw(st.lists(st.sampled_from(pool), max_size=len(pool))) if pool else []
+    return Graph.from_edges(n, edges)
+
+
+def violation_with_few_singletons(g: Graph) -> bool:
+    """Brute force: some S' violation leaves at most one single-vertex
+    component (the shapes the pair scan does not find)."""
+    masks, full = g.adjacency_masks, (1 << g.n) - 1
+    for s_mask in range(1 << g.n):
+        if not mask_is_stable(masks, s_mask):
+            continue
+        comps = component_masks(masks, full & ~s_mask)
+        singles = sum(1 for c in comps if not c & (c - 1))
+        if singles <= 1 and (len(comps) >= 3 or (len(comps) == 2 and not singles)):
+            return True
+    return False
+
+
+class TestSmallSideProof:
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_decisions_match_oracles(self, n, data):
+        g = draw_graph(n, data)
+        assert (stable_cut_exists(g) is None) == (stable_cut_exists_exhaustive(g) is None)
+        assert (firm_cut_exists(g) is None) == (firm_cut_exists_exhaustive(g) is None)
+        assert sprime_holds(g)[0] == (sprime_violation_exhaustive(g) is None)
+
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_proof_claims_only_what_oracles_confirm(self, n, data):
+        # "free" rules out every cut whose components all have two vertices
+        # (firm cuts, and the stable cuts that the fast path leaves), and
+        # every S' violation that the pair scan does not find
+        g = draw_graph(n, data)
+        if cuts._no_cut_from_small_side(g, cuts._node_counter(10**9)):
+            assert firm_cut_exists_exhaustive(g) is None
+            assert not violation_with_few_singletons(g)
+
+    def test_budget_exceeded_in_proof_reaches_caller(self, monkeypatch):
+        # a "yes" graph for all three decisions; at small budgets the proof
+        # runs out, and the caller must raise, never answer "none"
+        g, _ = glued_triangle_plus_xz()
+        proof = cuts._no_cut_from_small_side
+        raised_in_proof = []
+
+        def spy(*args):
+            try:
+                return proof(*args)
+            except BudgetExceeded:
+                raised_in_proof.append(args)
+                raise
+
+        monkeypatch.setattr(cuts, "_no_cut_from_small_side", spy)
+        decisions = (
+            stable_cut_exists,
+            firm_cut_exists,
+            lambda g, **kw: sprime_holds(g, **kw)[1],
+        )
+        for decide in decisions:
+            want = decide(g)
+            assert want is not None
+            raised_in_proof.clear()
+            for budget in range(1, 40):
+                try:
+                    got = decide(g, node_budget=budget)
+                except BudgetExceeded:
+                    continue
+                assert got == want
+            assert raised_in_proof
+
+
+def test_tau_t_prefixes_at_n400_decided_within_2000_nodes():
+    # without the small-side proof, the stable-cut and S' searches ran past
+    # 200k nodes on these two prefixes, after 5-7 s each
+    for i in (1, 3):
+        trace = process(400, RandomSource(5).derive(i))
+        g = trace.prefix_graph(hitting_times(trace, node_budget=2000).tau_T)
+        assert stable_cut_exists(g, node_budget=2000) is None
+        assert sprime_holds(g, node_budget=2000) == (True, None)
+        assert firm_cut_exists(g, node_budget=2000) is None

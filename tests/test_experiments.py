@@ -217,6 +217,13 @@ class TestSweep:
             assert res.rows[0].trials == 6
             assert res.rows[0].budget_exceeded == 0
 
+    def test_sprime_at_n120_decided_within_budget(self):
+        # below the triangle-cover step the ordered S' search ran out of its
+        # 500k budget on 2 of these 40 trials; the small-side proof decides all
+        spec = SweepSpec("Sprime", (120,), (1.0,), 40, 3)
+        row = run_sweep(spec, force=True).rows[0]
+        assert (row.successes, row.budget_exceeded) == (10, 0)
+
     def test_connected_near_threshold(self):
         # the triangle-cover threshold sits far above the connectivity
         # threshold log n / n, so samples there are essentially always connected
