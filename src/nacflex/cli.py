@@ -10,6 +10,10 @@ search-node count of at least 1 (default DEFAULT_NODE_BUDGET), so identical
 seeds always give identical outputs.  The budget is the only limit of
 `nac count`, `nac enumerate` and `nac find`; `--force` exists only on
 `experiment sweep`, to pass its n ceilings.
+
+Options shared by several verbs are declared once, in `build_parser`'s
+parent parsers.  A handler returns its output (a JSON-able dict, an experiment
+table, or None after writing a file); `main` prints it and maps exit codes.
 """
 
 from __future__ import annotations
@@ -27,14 +31,8 @@ from . import nac as _nac
 from .errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
 from .graphs import graph_to_json_dict, load_graph, save_graph
 from .nac import Colour, load_colouring
-from .randmodels import (
-    RandomSource,
-    gnm,
-    gnp,
-    hitting_times,
-    process,
-    regular_configuration,
-)
+from .randmodels import RandomSource, gnm, gnp, hitting_times, process
+from .randmodels import regular_configuration
 
 
 def _budget(text: str) -> int:
@@ -45,76 +43,48 @@ def _budget(text: str) -> int:
     return value
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
 # -- nac -------------------------------------------------------------------------
 
 
-def _cmd_nac_check(args) -> int:
-    c = load_colouring(args.colouring)
-    verdict = _nac.nac_check(c)
+def _cmd_nac_check(args) -> dict:
+    verdict = _nac.nac_check(load_colouring(args.colouring))
     out = {"is_nac": verdict.is_nac}
     if verdict.failure:
         out["failure"] = verdict.failure
         if verdict.edge is not None:
             out["edge"] = list(verdict.edge)
             out["path"] = list(verdict.path)
-    _print_json(out)
-    return 0
+    return out
 
 
-def _cmd_nac_count(args) -> int:
+def _cmd_nac_count(args) -> dict:
     g = load_graph(args.graph)
-    count = _nac.nac_count(g, node_budget=args.budget)
-    _print_json({"count": count})
-    return 0
+    return {"count": _nac.nac_count(g, node_budget=args.budget)}
 
 
-def _cmd_nac_find(args) -> int:
-    g = load_graph(args.graph)
-    c = _nac.nac_exists(g, node_budget=args.budget)
-    if c is None:
-        _print_json({"result": "none"})
-    else:
-        _print_json({"result": "found"} | c.to_json_dict())
-    return 0
+def _cmd_nac_find(args) -> dict:
+    c = _nac.nac_exists(load_graph(args.graph), node_budget=args.budget)
+    return {"result": "none"} if c is None else {"result": "found"} | c.to_json_dict()
 
 
-def _cmd_nac_enumerate(args) -> int:
+def _cmd_nac_enumerate(args) -> dict:
     g = load_graph(args.graph)
     res = _nac.nac_enumerate(g, cap=args.cap, node_budget=args.budget)
-    _print_json(
-        {
-            "complete": res.complete,
-            "count": res.count,
-            "colourings": [
-                [list(e) for e in c.edges_of(Colour.RED)] for c in res.colourings
-            ],
-        }
-    )
-    return 0
+    red = [[list(e) for e in c.edges_of(Colour.RED)] for c in res.colourings]
+    return {"complete": res.complete, "count": res.count, "colourings": red}
 
 
-def _cmd_nac_stable_witness(args) -> int:
+def _cmd_nac_stable_witness(args) -> dict:
     c = load_colouring(args.colouring)
     witnesses = _nac.stable_witnesses(c, mode=args.mode, size_cap=args.size_cap)
-    _print_json(
-        {
-            "stable": bool(witnesses),
-            "witnesses": [
-                {"side": w.side.value, "s": list(w.vertices)} for w in witnesses
-            ],
-        }
-    )
-    return 0
+    found = [{"side": w.side.value, "s": list(w.vertices)} for w in witnesses]
+    return {"stable": bool(witnesses), "witnesses": found}
 
 
 # -- cut -------------------------------------------------------------------------
 
 
-def _cmd_cut(args) -> int:
+def _cmd_cut(args) -> dict:
     g = load_graph(args.graph)
     if args.kind == "stable":
         cert = _cuts.stable_cut_exists(g, node_budget=args.budget)
@@ -123,134 +93,92 @@ def _cmd_cut(args) -> int:
     else:
         holds, cert = _cuts.sprime_holds(g, node_budget=args.budget)
         if holds:
-            _print_json({"result": "holds"})
-            return 0
-    if cert is None:
-        _print_json({"result": "none"})
-    else:
-        _print_json(cert.to_json_dict())
-    return 0
+            return {"result": "holds"}
+    return {"result": "none"} if cert is None else cert.to_json_dict()
 
 
-# -- rand ------------------------------------------------------------------------
+# -- rand, process, flex -----------------------------------------------------------
 
 
-def _cmd_rand(args) -> int:
+def _cmd_rand(args) -> dict | None:
     src = RandomSource(args.seed, args.stream)
+    param = {"gnp": "p", "gnm": "m", "regular": "k"}[args.model]
+    if getattr(args, param) is None:
+        raise PreconditionError(f"{args.model} requires --{param}")
     if args.model == "gnp":
-        if args.p is None:
-            raise PreconditionError("gnp requires --p")
         g = gnp(args.n, args.p, src)
     elif args.model == "gnm":
-        if args.m is None:
-            raise PreconditionError("gnm requires --m")
         g = gnm(args.n, args.m, src)
     else:
-        if args.k is None:
-            raise PreconditionError("regular requires --k")
         g, rejects = regular_configuration(
             args.n, args.k, src, max_rejects=args.max_rejects
         )
+        # a diagnostic beside the output, which stays the graph alone
         print(f"# rejected pairings: {rejects}", file=sys.stderr)
-    if args.out:
-        save_graph(g, args.out, fmt=args.format)
-    else:
-        _print_json(graph_to_json_dict(g))
-    return 0
+    if not args.out:
+        return graph_to_json_dict(g)
+    save_graph(g, args.out, fmt=args.format)
+    return None
 
 
-# -- process ---------------------------------------------------------------------
-
-
-def _cmd_process_trace(args) -> int:
-    src = RandomSource(args.seed, args.stream)
-    trace = process(args.n, src)
+def _cmd_process_trace(args) -> dict:
+    trace = process(args.n, RandomSource(args.seed, args.stream))
     rec = hitting_times(trace, node_budget=args.budget)
-    _print_json(
-        {
-            "n": args.n,
-            "seed": args.seed,
-            "tau_conn": rec.as_json_value("tau_conn"),
-            "tau_T": rec.as_json_value("tau_T"),
-            "tau_S": rec.as_json_value("tau_S"),
-            "tau_N": rec.as_json_value("tau_N"),
-        }
-    )
-    return 0
+    taus = ("tau_conn", "tau_T", "tau_S", "tau_N")
+    return {"n": args.n, "seed": args.seed} | {t: rec.as_json_value(t) for t in taus}
 
 
-# -- flex ------------------------------------------------------------------------
-
-
-def _cmd_flex_build(args) -> int:
+def _cmd_flex_build(args) -> dict:
     c = load_colouring(args.colouring)
-    try:
-        family = _flex.build_flex(c, RandomSource(args.seed, args.stream))
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    family = _flex.build_flex(c, RandomSource(args.seed, args.stream))
     thetas = [2.0 * np.pi * i / args.samples for i in range(args.samples)]
     positions = [
         [[float(p[0]), float(p[1])] for p in _flex.sample_positions(family, t)]
         for t in thetas
     ]
     report = _flex.verify_flex(family, n_samples=args.samples)
-    _print_json(
-        {
-            "theta": thetas,
-            "positions": positions,
-            "report": {
-                "max_edge_drift": report.max_edge_drift,
-                "max_pair_variation": report.max_pair_variation,
-                "min_edge_length": report.min_edge_length,
-                "n_samples": report.n_samples,
-            },
-        }
-    )
-    return 0
+    return {"theta": thetas, "positions": positions, "report": vars(report)}
 
 
 # -- experiment --------------------------------------------------------------------
 
 
-def _cmd_experiment_sweep(args) -> int:
+def _cmd_experiment_sweep(args) -> _exp.SweepResult:
     spec = _exp.SweepSpec(
-        property=args.property,
-        n_values=tuple(args.n),
-        c_values=tuple(args.c),
-        trials=args.trials,
-        master_seed=args.seed,
-        node_budget=args.budget,
+        args.property, tuple(args.n), tuple(args.c), args.trials, args.seed, args.budget
     )
-    result = _exp.run_sweep(spec, workers=args.workers, force=args.force)
-    _exp.emit(result, args.format, args.out)
-    return 0
+    return _exp.run_sweep(spec, workers=args.workers, force=args.force)
 
 
-def _cmd_experiment_hitting(args) -> int:
-    result = _exp.hitting_equality_experiment(
-        tuple(args.n),
-        args.trials,
-        args.seed,
-        node_budget=args.budget,
-        workers=args.workers,
+def _cmd_experiment_hitting(args) -> _exp.HittingResult:
+    return _exp.hitting_equality_experiment(
+        tuple(args.n), args.trials, args.seed,
+        node_budget=args.budget, workers=args.workers,
     )
-    _exp.emit(result, args.format, args.out)
-    return 0
 
 
-def _cmd_experiment_regular_nac(args) -> int:
-    result = _exp.regular_nac_lower_bound(
+def _cmd_experiment_regular_nac(args) -> _exp.RegularNacResult:
+    return _exp.regular_nac_lower_bound(
         args.n, args.k, args.trials, args.seed, workers=args.workers
     )
-    _exp.emit(result, args.format, args.out)
-    return 0
 
 
 # -- parser ----------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the shared option groups, each declared once and inherited by its verbs
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("--seed", type=int, required=True)
+    stream.add_argument("--stream", type=int, default=0)
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--seed", type=int, required=True)
+    table.add_argument("--out", default=None)
+    table.add_argument("--format", choices=["csv", "json"], default="csv")
+    table.add_argument("--workers", type=int, default=1)
+
     parser = argparse.ArgumentParser(
         prog="nacflex",
         description="NAC-colourings, stable cuts, flexible realisations, "
@@ -265,20 +193,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("colouring")
     p.set_defaults(func=_cmd_nac_check)
 
-    p = nac_sub.add_parser("count", help="exact number of NAC-colourings")
+    p = nac_sub.add_parser(
+        "count", parents=[budget], help="exact number of NAC-colourings"
+    )
     p.add_argument("graph")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_nac_count)
 
-    p = nac_sub.add_parser("find", help="find one NAC-colouring")
+    p = nac_sub.add_parser("find", parents=[budget], help="find one NAC-colouring")
     p.add_argument("graph")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_nac_find)
 
-    p = nac_sub.add_parser("enumerate", help="list NAC-colourings")
+    p = nac_sub.add_parser("enumerate", parents=[budget], help="list NAC-colourings")
     p.add_argument("graph")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_nac_enumerate)
 
     p = nac_sub.add_parser(
@@ -293,20 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-cap", type=int, default=None)
     p.set_defaults(func=_cmd_nac_stable_witness)
 
-    p = sub.add_parser("cut", help="stable/firm cut decisions")
+    p = sub.add_parser("cut", parents=[budget], help="stable/firm cut decisions")
     p.add_argument("kind", choices=["stable", "firm", "sprime"])
     p.add_argument("graph")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_cut)
 
-    p = sub.add_parser("rand", help="random graph generators")
+    p = sub.add_parser("rand", parents=[stream], help="random graph generators")
     p.add_argument("model", choices=["gnp", "gnm", "regular"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stream", type=int, default=0)
     p.add_argument("--max-rejects", type=int, default=10_000)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["edgelist", "json"], default="edgelist")
@@ -314,56 +238,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_proc = sub.add_parser("process", help="random graph process")
     proc_sub = p_proc.add_subparsers(dest="process_command", required=True)
-    p = proc_sub.add_parser("trace", help="hitting times of one process run")
+    p = proc_sub.add_parser(
+        "trace", parents=[stream, budget], help="hitting times of one process run"
+    )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_process_trace)
 
     p_flex = sub.add_parser("flex", help="flexible realisations")
     flex_sub = p_flex.add_subparsers(dest="flex_command", required=True)
-    p = flex_sub.add_parser("build", help="build and sample a motion")
+    p = flex_sub.add_parser("build", parents=[stream], help="build and sample a motion")
     p.add_argument("colouring")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stream", type=int, default=0)
     p.add_argument("--samples", type=int, default=64)
     p.set_defaults(func=_cmd_flex_build)
 
     p_exp = sub.add_parser("experiment", help="Monte Carlo experiment drivers")
     exp_sub = p_exp.add_subparsers(dest="experiment_command", required=True)
 
-    p = exp_sub.add_parser("sweep", help="threshold sweep")
+    p = exp_sub.add_parser("sweep", parents=[table, budget], help="threshold sweep")
     p.add_argument("--property", choices=list(_exp.PROPERTIES), required=True)
     p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--c", type=float, nargs="+", required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=_cmd_experiment_sweep)
 
-    p = exp_sub.add_parser("hitting", help="hitting-time equality experiment")
+    p = exp_sub.add_parser(
+        "hitting", parents=[table, budget], help="hitting-time equality experiment"
+    )
     p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_experiment_hitting)
 
-    p = exp_sub.add_parser("regular-nac", help="random-regular NAC construction")
+    p = exp_sub.add_parser(
+        "regular-nac", parents=[table], help="random-regular NAC construction"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_experiment_regular_nac)
 
     return parser
@@ -376,9 +287,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except BudgetExceeded:
-        _print_json({"result": "budget-exceeded"})
+        try:
+            out = args.func(args)
+        except BudgetExceeded:
+            out = {"result": "budget-exceeded"}
+        if isinstance(out, dict):
+            print(json.dumps(out, indent=2))
+        elif out is not None:
+            _exp.emit(out, args.format, args.out)
         return 0
     except (PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

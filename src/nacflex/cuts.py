@@ -395,7 +395,7 @@ def stable_cut_to_nac(g: Graph, cert: CutCertificate) -> EdgeColouring:
                 raise PreconditionError("certificate components overlap")
             seen.add(v)
             comp_of[v] = i
-    if len(seen) != g.n:
+    if seen != set(range(g.n)):
         raise PreconditionError("certificate does not partition the vertices")
     for u, v in g.edges:
         cu, cv = comp_of.get(u), comp_of.get(v)

@@ -181,6 +181,8 @@ class SweepSpec:
             raise PreconditionError("at least one n value is required")
         if any(n < 2 for n in self.n_values):
             raise PreconditionError("n values must be >= 2")
+        if not self.c_values:
+            raise PreconditionError("at least one c value is required")
         if not all(math.isfinite(c) and c > 0 for c in self.c_values):
             raise PreconditionError("c values must be finite and positive")
         ceiling = N_CEILINGS[self.property]
@@ -322,6 +324,8 @@ def hitting_equality_experiment(
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     check_node_budget(node_budget)
+    if not n_values:
+        raise PreconditionError("at least one n value is required")
     if any(n < 3 for n in n_values):
         raise PreconditionError("hitting times need n >= 3")
     tasks = [

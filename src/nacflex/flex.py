@@ -60,7 +60,7 @@ def build_flex(c: EdgeColouring, src: RandomSource) -> FlexFamily:
 
     Vectors are redrawn, up to MAX_BASE_DRAWS times, until each family is
     pairwise separated by at least MIN_BASE_SEPARATION; deterministic given
-    the source.
+    the source.  Raises PreconditionError when no draw is separated.
     """
     if not nac_check(c).is_nac:
         raise PreconditionError("colouring is not a NAC-colouring")
@@ -76,7 +76,7 @@ def build_flex(c: EdgeColouring, src: RandomSource) -> FlexFamily:
             and _min_pairwise_distance(y) >= MIN_BASE_SEPARATION
         ):
             return FlexFamily(g, c, red_lab, blue_lab, x, y)
-    raise RuntimeError("could not sample separated base vectors")
+    raise PreconditionError("could not sample separated base vectors")
 
 
 def sample_positions(f: FlexFamily, theta: float) -> np.ndarray:

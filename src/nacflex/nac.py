@@ -104,6 +104,10 @@ class EdgeColouring:
             raise ValueError(
                 f"colouring has {len(self.colours)} entries for {self.graph.m} edges"
             )
+        # entries are tested by identity (`is Colour.RED`), so "red" becomes
+        # Colour.RED; the searches' colourings pass with the type test alone
+        if not set(map(type, self.colours)) <= {Colour}:
+            object.__setattr__(self, "colours", tuple(map(Colour, self.colours)))
 
     @classmethod
     def from_red_edges(cls, g: Graph, red: list[tuple[int, int]] | set) -> "EdgeColouring":

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nacflex
-from nacflex import flex
+from nacflex import experiments, flex
 from nacflex.cli import main
 from nacflex.graphs import (
     Graph,
@@ -260,6 +260,78 @@ def test_budget_below_one_exit_2(argv, budget, tmp_path, capsys):
     code, out, err = run(capsys, *argv, "--budget", budget)
     assert code == 2 and out == ""
     assert "--budget" in err and "Traceback" not in err
+
+
+# every verb that runs no search, with the arguments it needs to succeed
+NO_BUDGET_VERBS = (
+    ("nac", "check", "COLOURING"),
+    ("nac", "stable-witness", "COLOURING"),
+    ("rand", "gnp", "--n", "5", "--p", "0.5", "--seed", "1"),
+    ("flex", "build", "COLOURING", "--seed", "1", "--samples", "4"),
+    ("experiment", "regular-nac", "--n", "12", "--k", "3", "--trials", "1",
+     "--seed", "1"),
+)
+
+
+@pytest.mark.parametrize("argv", NO_BUDGET_VERBS, ids=lambda argv: " ".join(argv[:2]))
+def test_verbs_without_a_search_reject_budget(argv, tmp_path, capsys):
+    cpath = tmp_path / "c.json"
+    write_colouring(cpath, EdgeColouring.from_red_edges(cycle_graph(4), [(0, 1), (2, 3)]))
+    argv = [str(cpath) if a == "COLOURING" else a for a in argv]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--budget", "10")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --budget 10" in err
+
+
+@pytest.mark.parametrize(
+    "argv", BUDGET_VERBS + NO_BUDGET_VERBS, ids=lambda argv: " ".join(argv[:2])
+)
+def test_help_on_every_verb(argv, capsys):
+    code, out, err = run(capsys, *argv[:2], "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: nacflex ")
+
+
+EXPERIMENT_VERBS = (
+    ("sweep", "--property", "T", "--n", "10", "--c", "1.0", "--trials", "2"),
+    ("hitting", "--n", "6", "--trials", "2"),
+    ("regular-nac", "--n", "12", "--k", "3", "--trials", "2"),
+)
+
+
+@pytest.mark.parametrize("argv", EXPERIMENT_VERBS, ids=lambda argv: argv[0])
+def test_experiment_verbs_take_the_output_options(argv, tmp_path, capsys, monkeypatch):
+    workers = []
+
+    def serial_map(fn, tasks, n_workers, chunksize=1):
+        workers.append(n_workers)
+        return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(experiments, "_map", serial_map)
+    path = tmp_path / "result.json"
+    code, out, err = run(
+        capsys, "experiment", *argv, "--seed", "1", "--workers", "2",
+        "--format", "json", "--out", str(path),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert json.loads(path.read_text())["rows"]
+    assert workers == [2]
+
+
+def test_import_nacflex_stays_light():
+    # nacbench times this import; the CLI and process pools load on demand
+    heavy = ("nacflex.cli", "argparse", "multiprocessing", "concurrent.futures")
+    src = str(Path(nacflex.__file__).parent.parent)
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nacflex; print(sorted(set(sys.argv[1:]) & set(sys.modules)))",
+         *heavy],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_python_m_nacflex():

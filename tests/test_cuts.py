@@ -292,6 +292,13 @@ class TestStableCutToNac:
         with pytest.raises(PreconditionError, match="joined by an edge"):
             stable_cut_to_nac(g, CutCertificate((0,), ((1,), (2, 3)), "stable"))
 
+    @pytest.mark.parametrize("components", [((0,), (-1,)), ((0,), (7,))])
+    def test_rejects_components_outside_the_graph(self, components):
+        # -1 would index vertex 2 and colour every edge blue; 7 has no adjacency
+        cert = CutCertificate((1,), components, "stable")
+        with pytest.raises(PreconditionError, match="partition"):
+            stable_cut_to_nac(path_graph(3), cert)
+
     def test_random_certified_instances(self):
         rnd = random.Random(36)
         done = 0

@@ -96,6 +96,10 @@ class TestSpecValidation:
         with pytest.raises(PreconditionError, match="positive"):
             SweepSpec("T", (10,), (0.0,), 5, 1).validate()
 
+    def test_empty_c(self):
+        with pytest.raises(PreconditionError, match="at least one c value"):
+            run_sweep(SweepSpec("T", (10,), (), 1, 1))
+
     def test_non_finite_c(self):
         for c in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(PreconditionError, match="finite"):
@@ -248,6 +252,10 @@ class TestHittingExperiment:
     def test_requires_n3(self):
         with pytest.raises(PreconditionError):
             hitting_equality_experiment((2,), 5, 1)
+
+    def test_requires_an_n_value(self):
+        with pytest.raises(PreconditionError, match="at least one n value"):
+            hitting_equality_experiment((), 1, 1)
 
     def test_requires_a_budget_of_at_least_one(self):
         for budget in (0, -1):

@@ -121,6 +121,18 @@ class TestNacCheck:
         c = EdgeColouring.from_red_edges(complete_graph(3), [])
         assert nac_check(c).failure == "not-surjective"
 
+    def test_string_colours_are_colours(self):
+        g = complete_graph(3)
+        plain = EdgeColouring(g, ("red", "blue", "blue"))
+        enum = EdgeColouring(g, (Colour.RED, Colour.BLUE, Colour.BLUE))
+        assert plain == enum and plain.colours == enum.colours
+        assert all(type(col) is Colour for col in plain.colours)
+        assert nac_check(plain) == nac_check(enum)
+        assert nac_check(plain).failure == "almost-monochromatic-cycle"
+        assert nac_check_oracle(plain) is nac_check_oracle(enum) is False
+        with pytest.raises(ValueError, match="green"):
+            EdgeColouring(g, ("red", "green", "blue"))
+
     def test_certificate_invariants_random(self):
         rnd = random.Random(21)
         for _ in range(3000):
