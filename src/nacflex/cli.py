@@ -35,8 +35,8 @@ from .randmodels import RandomSource, gnm, gnp, hitting_times, process
 from .randmodels import regular_configuration
 
 
-def _budget(text: str) -> int:
-    """A `--budget` value: a search-node count of at least 1."""
+def _at_least_one(text: str) -> int:
+    """A `--budget` or `--workers` value: a count of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -169,7 +169,7 @@ def _cmd_experiment_regular_nac(args) -> _exp.RegularNacResult:
 def build_parser() -> argparse.ArgumentParser:
     # the shared option groups, each declared once and inherited by its verbs
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
+    budget.add_argument("--budget", type=_at_least_one, default=DEFAULT_NODE_BUDGET)
     stream = argparse.ArgumentParser(add_help=False)
     stream.add_argument("--seed", type=int, required=True)
     stream.add_argument("--stream", type=int, default=0)
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--seed", type=int, required=True)
     table.add_argument("--out", default=None)
     table.add_argument("--format", choices=["csv", "json"], default="csv")
-    table.add_argument("--workers", type=int, default=1)
+    table.add_argument("--workers", type=_at_least_one, default=1)
 
     parser = argparse.ArgumentParser(
         prog="nacflex",

@@ -113,31 +113,6 @@ def _certificate(g: Graph, s_mask: int, kind: str) -> CutCertificate:
     )
 
 
-def _close(masks, cover, a_mask: int, s_mask: int, t: int, below: int) -> int:
-    """Close t under "a vertex of t next to the known S joins A", or 0 when
-    the known S (s_mask and t below the seed) is not stable."""
-    known_s = new_s = s_mask | (t & below)
-    near_s = 0
-    joined = a_mask
-    while True:
-        while new_s:
-            low = new_s & -new_s
-            new_s ^= low
-            near_s |= masks[low.bit_length() - 1]
-        if near_s & known_s:
-            return 0
-        join = t & near_s & ~joined
-        if not join:
-            return t
-        joined |= join
-        while join:
-            low = join & -join
-            join ^= low
-            t |= cover[low.bit_length() - 1]
-        new_s = t & below & ~known_s
-        known_s |= new_s
-
-
 def _node_counter(node_budget: int):
     """One node count for all the searches of one decision: each call counts
     a node, and the first past node_budget raises BudgetExceeded."""
@@ -167,10 +142,15 @@ def _iter_separators(g: Graph, count, within: int = -1):
     one with a vertex in A has two there, and every edge of a class with an
     edge at A touches A.  So t only grows, R avoids it, the vertices of t
     below the seed or outside `within` end up in S, and the vertices of t
-    next to that S end up in A, which adds their covers to t (`_close`).  A
-    node is dead, and its subtree yields nothing, when that S is not stable
-    or when full & ~t is stable.  Dead subtrees are cut after their root is
-    counted; the yield order is that of the unpruned search.
+    next to that S end up in A, which adds their covers to t: each node
+    closes t under these two rules.  A node is dead, and its subtree yields
+    nothing, when that S is not stable or when full & ~t is stable.  Dead
+    subtrees are cut after their root is counted; the yield order is that of
+    the unpruned search.
+
+    The closure only grows down the stack, so each entry carries it: the
+    known S, N(known S) and the vertices whose cover is already in t.  A
+    node walks only the vertices that are new at it.
 
     A stable cut whose leftover spans no edge has a single-vertex component
     r, so N(r) is a stable set whose removal cuts: `stable_cut_exists` finds
@@ -186,15 +166,30 @@ def _iter_separators(g: Graph, count, within: int = -1):
         if (outside >> seed) & 1:
             continue
         below = ((1 << seed) - 1) | outside
-        stack = [(1 << seed, masks[seed], 0, cover[seed])]
+        a_mask = 1 << seed
+        # (A, N(A), S, t, known S, N(known S), vertices whose cover is in t)
+        stack = [(a_mask, masks[seed], 0, cover[seed], 0, 0, a_mask)]
         while stack:
-            a_mask, na_mask, s_mask, t = stack.pop()
+            a_mask, na_mask, s_mask, t, known, near, joined = stack.pop()
             count()
             s_mask |= na_mask & below
-            t = _close(masks, cover, a_mask, s_mask, t, below)
-            if not t:
-                continue
-            if mask_is_stable(masks, full & ~t):
+            new = (s_mask | t & below) & ~known
+            while True:
+                known |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    near |= masks[low.bit_length() - 1]
+                join = t & near & ~joined
+                if near & known or not join:
+                    break
+                joined |= join
+                while join:
+                    low = join & -join
+                    join ^= low
+                    t |= cover[low.bit_length() - 1]
+                new = t & below & ~known
+            if near & known or mask_is_stable(masks, full & ~t):
                 continue
             frontier = na_mask & ~s_mask
             if not frontier:
@@ -203,9 +198,10 @@ def _iter_separators(g: Graph, count, within: int = -1):
             v_bit = frontier & -frontier
             v = v_bit.bit_length() - 1
             a2 = a_mask | v_bit
-            stack.append((a2, (na_mask | masks[v]) & ~a2, s_mask, t | cover[v]))
+            na2 = (na_mask | masks[v]) & ~a2
+            stack.append((a2, na2, s_mask, t | cover[v], known, near, joined | v_bit))
             if masks[v] & s_mask == 0:
-                stack.append((a_mask, na_mask, s_mask | v_bit, t))
+                stack.append((a_mask, na_mask, s_mask | v_bit, t, known, near, joined))
 
 
 def _no_cut_from_small_side(g: Graph, count) -> bool:

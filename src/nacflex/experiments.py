@@ -455,6 +455,8 @@ def regular_nac_lower_bound(
     filter to stable neighbourhoods S, and NAC-check star colourings from S."""
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
+    if k < 2:
+        raise PreconditionError(f"k must be >= 2, got k={k}")
     if (n * k) % 2 != 0:
         raise PreconditionError(f"n*k must be even, got n={n}, k={k}")
     tasks = [(n, k, t, master_seed) for t in range(trials)]

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import chain, islice, product
+from itertools import accumulate, chain, compress, islice, product
 from pathlib import Path
 
 from .errors import (
@@ -380,78 +380,92 @@ def _iter_nac_colourings(g: Graph, node_budget: int):
 
     One union-find over 2n nodes holds both colours: node v is v's red
     component and node n + v its blue one.  It links by size without path
-    compression, so one trail of linked roots undoes both.  The stack holds
-    pending choices (depth, side, trail mark, #red edges, #blue edges), side
-    0 for red and 1 for blue, popped red before blue.  A pop rolls the trail
-    and both edge lists back to the marks, then colours class order[depth];
-    every pop counts one node against node_budget.
+    compression, so one trail of linked roots undoes both.  Each root keeps
+    the edge mask of its component's boundary, the edges with exactly one
+    end inside; a link XORs the two masks and its undo XORs them back.  The
+    edges in both masks join the two components, so none has the linking
+    colour, and the link is refused when one is coloured.  The masks number
+    the edges in search order, so the edges coloured before depth d are the
+    bits below offsets[d].  The stack holds pending choices (depth, side,
+    trail mark), side 0 for red and 1 for blue, popped red before blue.  A
+    pop rolls the trail back to the mark, then colours classes[depth] and
+    records the side in sides[depth], so a leaf reads its colouring off the
+    current path; every pop counts one node against node_budget.
     """
-    class_lists = g.triangle_classes.classes
+    classes = sorted(g.triangle_classes.classes, key=lambda c: (-len(c), c[0]))
     edges = g.edges
-    order = sorted(
-        range(len(class_lists)), key=lambda c: (-len(class_lists[c]), class_lists[c][0])
-    )
-    k = len(order)
+    k = len(classes)
     n = g.n
+    # one pass over the edges in search order: each vertex's incident edges
+    # are the boundary of its one-vertex component
+    boundary = [0] * n
+    bit = 1
+    for e in chain.from_iterable(classes):
+        u, v = edges[e]
+        boundary[u] |= bit
+        boundary[v] |= bit
+        bit <<= 1
+    boundary += boundary
+    offsets = list(accumulate(map(len, classes), initial=0))
     parent = list(range(2 * n))
     size = [1] * (2 * n)
     trail: list[int] = []
-    coloured: tuple[list[int], list[int]] = ([], [])
+    sides = [0] * k
 
-    def root(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def fits(cls, side: int) -> bool:
-        """Whether class cls can take colour `side`: none of its edges lies in
-        an other-colour component, and once they are unioned into this
-        colour, no other-colour edge lies in one of its components.  The
-        next pop undoes the unions."""
+    def fits(cls, side: int, coloured: int) -> bool:
+        """Whether class cls can take colour `side`, given the mask of the
+        edges coloured so far: none of its edges lies in an other-colour
+        component, and none of its links puts a coloured edge inside a
+        component.  The next pop undoes the unions.  The root walks are
+        inline: a call per lookup costs more than the walk."""
         here, there = side * n, (1 - side) * n
         for e in cls:
             u, v = edges[e]
-            if root(there + u) == root(there + v):
+            a, b = there + u, there + v
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a == b:
                 return False
-        for e in cls:
-            u, v = edges[e]
-            a, b = root(here + u), root(here + v)
+            a, b = here + u, here + v
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
             if a != b:
+                if boundary[a] & boundary[b] & coloured:
+                    return False
                 if size[a] < size[b]:
                     a, b = b, a
                 parent[b] = a
                 size[a] += size[b]
+                boundary[a] ^= boundary[b]
                 trail.append(b)
-        for e in coloured[1 - side]:
-            u, v = edges[e]
-            if root(here + u) == root(here + v):
-                return False
         return True
 
     nodes = 0
-    stack = [(0, 0, 0, 0, 0)] if k else []
+    stack = [(0, 0, 0)] if k else []
     while stack:
-        depth, side, mark, n_red, n_blue = stack.pop()
+        depth, side, mark = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceeded(f"class-colouring search exceeded {node_budget} nodes")
         while len(trail) > mark:
             b = trail.pop()
-            size[parent[b]] -= size[b]
+            a = parent[b]
+            size[a] -= size[b]
+            boundary[a] ^= boundary[b]
             parent[b] = b
-        red, blue = coloured
-        del red[n_red:], blue[n_blue:]
-        cls = class_lists[order[depth]]
-        if not fits(cls, side):
+        if not fits(classes[depth], side, (1 << offsets[depth]) - 1):
             continue
-        coloured[side].extend(cls)
+        sides[depth] = side
         if depth + 1 < k:
-            marks = (len(trail), len(red), len(blue))
-            stack.append((depth + 1, 1, *marks))
-            stack.append((depth + 1, 0, *marks))
-        elif blue:
+            stack.append((depth + 1, 1, len(trail)))
+            stack.append((depth + 1, 0, len(trail)))
+        elif any(sides):
             cols = [Colour.RED] * g.m
-            for e in blue:
+            for e in chain.from_iterable(compress(classes, sides)):
                 cols[e] = Colour.BLUE
             yield EdgeColouring(g, tuple(cols))
 

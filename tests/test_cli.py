@@ -319,6 +319,24 @@ def test_experiment_verbs_take_the_output_options(argv, tmp_path, capsys, monkey
     assert workers == [2]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("argv", EXPERIMENT_VERBS, ids=lambda argv: argv[0])
+def test_workers_below_one_exit_2(argv, workers, capsys):
+    code, out, err = run(
+        capsys, "experiment", *argv, "--seed", "1", "--workers", workers
+    )
+    assert code == 2 and out == ""
+    assert "--workers" in err and "must be >= 1" in err and "Traceback" not in err
+
+
+def test_regular_nac_degree_below_two_exit_2(capsys):
+    code, out, err = run(
+        capsys, "experiment", "regular-nac", "--n", "10", "--k", "0", "--trials", "1",
+        "--seed", "1",
+    )
+    assert code == 2 and out == "" and "k must be >= 2" in err
+
+
 def test_import_nacflex_stays_light():
     # nacbench times this import; the CLI and process pools load on demand
     heavy = ("nacflex.cli", "argparse", "multiprocessing", "concurrent.futures")

@@ -467,3 +467,49 @@ def test_tau_t_prefixes_at_n400_decided_within_2000_nodes():
         assert stable_cut_exists(g, node_budget=2000) is None
         assert sprime_holds(g, node_budget=2000) == (True, None)
         assert firm_cut_exists(g, node_budget=2000) is None
+
+
+# Two tau_T prefixes at n = 30 on which the searches run deep: the first
+# reaches the ordered separator search, the second exhausts a large NAC
+# search tree.  Per decision (stable cut, S', firm cut, NAC) the least node
+# budget at which it answers, and its certificate: the cut's S and
+# components, and the blue edges of the NAC-colouring.
+DEEP_PREFIXES = [
+    (
+        792884164160639042,
+        (3713, 3713, 3713, 64),
+        (
+            (0, 4, 6, 8, 13, 17, 20, 29),
+            (
+                (1, 2, 3, 5, 9, 10, 11, 12, 14, 15, 18, 19, 21, 23, 24, 25, 26, 27, 28),
+                (7, 16, 22),
+            ),
+        ),
+        ((0, 22), (6, 22), (7, 16), (7, 22), (13, 22), (16, 22), (16, 29), (22, 29)),
+    ),
+    (5997469170741038559, (49, 49, 49, 5899), None, None),
+]
+
+
+@pytest.mark.parametrize("seed, budgets, cut, blue", DEEP_PREFIXES)
+def test_deep_prefixes_keep_node_counts_and_certificates(seed, budgets, cut, blue):
+    trace = process(30, RandomSource(seed))
+    g = trace.prefix_graph(hitting_times(trace).tau_T)
+    decisions = (
+        stable_cut_exists,
+        lambda g, **kw: sprime_holds(g, **kw)[1],
+        firm_cut_exists,
+        nac_exists,
+    )
+    answers = []
+    for decide, budget in zip(decisions, budgets):
+        with pytest.raises(BudgetExceeded):
+            decide(g, node_budget=budget - 1)
+        answers.append(decide(g, node_budget=budget))
+    *certs, colouring = answers
+    for cert, kind in zip(certs, ("stable", "sprime-violation", "firm")):
+        assert cert == (None if cut is None else CutCertificate(*cut, kind))
+    if blue is None:
+        assert colouring is None
+    else:
+        assert colouring.edges_of(Colour.BLUE) == blue

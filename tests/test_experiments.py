@@ -307,6 +307,19 @@ class TestRegularNac:
         with pytest.raises(PreconditionError, match="even"):
             regular_nac_lower_bound(5, 3, 2, 1)
 
+    @pytest.mark.parametrize("n, k", [(10, 0), (12, 1), (12, -2)])
+    def test_degree_below_two_refused(self, n, k):
+        # an edgeless graph has no surjective colouring, and in a perfect
+        # matching the red stars of all S vertices leave no blue edge, so
+        # both would read as NAC failures of the construction
+        with pytest.raises(PreconditionError, match="k must be >= 2"):
+            regular_nac_lower_bound(n, k, 1, 1)
+
+    @pytest.mark.parametrize("n, k", [(12, 2), (20, 2), (30, 3)])
+    def test_small_degrees_have_no_failures(self, n, k):
+        res = regular_nac_lower_bound(n, k, 3, 1)
+        assert all(row.nac_failures == 0 for row in res.rows)
+
 
 class TestEmit:
     def test_empty_sweep_csv(self, tmp_path):

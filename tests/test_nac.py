@@ -426,6 +426,17 @@ class TestNacEnumerate:
         assert count == 8190
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("a", [3, 4, 7])
+    @pytest.mark.parametrize("length", [1, 2, 6, 9])
+    def test_count_clique_with_pendant_path(self, a, length):
+        # K_a is one triangle class and each path edge another, and every
+        # surjective colouring of the length + 1 classes is NAC; the search
+        # holds the red clique edges under every blue path edge
+        clique = [(i, j) for i in range(a) for j in range(i + 1, a)]
+        path = [(v, v + 1) for v in range(a - 1, a - 1 + length)]
+        g = Graph.from_edges(a + length, clique + path)
+        assert nac_count(g) == 2 ** (length + 1) - 2
+
     def test_many_classes_bounded_by_budget_alone(self):
         # 27 triangle classes: no class ceiling refuses the star, the cap or
         # the node budget stops the search
