@@ -3,8 +3,10 @@
 Trials are pure functions of (master_seed, experiment tag, indices), so runs
 are deterministic for any worker count and aggregation happens in trial
 order.  Threshold sweeps couple trials across the probability multipliers
-with common random numbers: one uniform per potential edge per trial,
-thresholded at each p, which turns monotone trends into per-trial facts.
+with common random numbers: one uniform per potential edge per trial, so a
+trial's graphs are nested in c and every swept property, being monotone under
+edge addition, is a step function of c.  A trial therefore bisects its c grid
+and decides about log2(k+1) of its k levels; the rest follow by monotonicity.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ __all__ = [
 PROPERTIES = ("T", "S", "Sprime", "N", "NoStableCut", "Connected")
 
 # T and Connected: one trial holds C(n,2) float64 uniforms; at n = 16,000
-# a three-c trial peaks at 1.2 GB RSS (README, "Scale defaults")
+# a three-c trial peaks at 1.14 GB RSS (README, "Scale defaults")
 N_CEILINGS = {
     "T": 16_000,
     "Connected": 16_000,
@@ -81,7 +83,8 @@ _STAR_SUBSETS = 100
 _CHUNK_EDGES = 4096
 
 
-# Not triangle_apexes: at n=2000 this bitset took 19 ms, a Graph and its apexes 129 ms.
+# Not triangle_apexes: at n=2000 and c=1.3 (40k edges, 2-vCPU VM) this bitset
+# took 7 ms, a Graph and its apexes 64 ms.
 def triangle_covered(n: int, pairs: np.ndarray) -> bool:
     """True iff every vertex lies in a triangle (vectorised bitset check)."""
     if n == 0:
@@ -100,8 +103,9 @@ def triangle_covered(n: int, pairs: np.ndarray) -> bool:
     for lo in range(0, len(u), _CHUNK_EDGES):
         rows = slice(lo, lo + _CHUNK_EDGES)
         tri_edge[rows] = (bits[u[rows]] & bits[v[rows]]).any(axis=1)
-    covered = np.unique(pairs[tri_edge])
-    return len(covered) == n
+    covered = np.zeros(n, dtype=bool)
+    covered[pairs[tri_edge].ravel()] = True
+    return bool(covered.all())
 
 
 def _decide(prop: str, n: int, pairs: np.ndarray, node_budget: int) -> bool:
@@ -219,24 +223,51 @@ def sweep_trial_outcomes(
     """(success, budget_exceeded, seconds) per c value for one coupled trial.
 
     One uniform is drawn per potential edge; each c keeps the edges whose
-    uniform falls below c * p_star(n).
+    uniform falls below p = min(c * p_star(n), 1).  The graphs are nested in
+    p and every property in PROPERTIES is monotone under edge addition, so
+    the trial bisects its distinct levels: a level that holds settles every
+    level above it, one that fails every level below it.  Each decision gets
+    the edges below its level from one thresholded list.  After a decision
+    runs out of budget, that level is reported exceeded and the remaining
+    unsettled levels are decided one at a time in increasing p.  A c settled
+    without a decision of its own reports 0.0 seconds; a decision's seconds
+    go to the first c of its level.
     """
     n = spec.n_values[n_index]
     src = RandomSource(spec.master_seed).derive(_TAG_SWEEP, n_index, trial)
     uniforms = src.generator().random(n * (n - 1) // 2)
     base = p_star(n)
-    out = []
-    for c in spec.c_values:
-        p = min(c * base, 1.0)
-        pairs = pairs_from_indices(n, np.flatnonzero(uniforms < p))
+    ps = [min(c * base, 1.0) for c in spec.c_values]
+    levels = sorted(set(ps))
+    idx = np.flatnonzero(uniforms < levels[-1])
+    weights = uniforms[idx]
+    del uniforms  # most of a trial's memory, and no decision reads it
+    pairs = pairs_from_indices(n, idx)
+    decided: dict[int, tuple[bool, bool, float]] = {}
+    lo, hi = 0, len(levels)  # levels[:lo] fail and levels[hi:] hold
+    exceeded = False
+    while pending := [i for i in range(lo, hi) if i not in decided]:
+        i = pending[0] if exceeded else pending[len(pending) // 2]
         start = time.perf_counter()
         try:
-            ok = _decide(spec.property, n, pairs, spec.node_budget)
-            exceeded = False
+            ok = _decide(spec.property, n, pairs[weights < levels[i]], spec.node_budget)
         except BudgetExceeded:
-            ok = False
+            decided[i] = (False, True, time.perf_counter() - start)
             exceeded = True
-        out.append((ok, exceeded, time.perf_counter() - start))
+            continue
+        decided[i] = (ok, False, time.perf_counter() - start)
+        if ok:
+            hi = i
+        else:
+            lo = i + 1
+    out = []
+    for p in ps:
+        i = levels.index(p)
+        if i in decided:
+            out.append(decided[i])
+            decided[i] = decided[i][:2] + (0.0,)  # a level's seconds go to its first c
+        else:
+            out.append((i >= hi, False, 0.0))
     return out
 
 

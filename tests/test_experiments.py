@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from nacflex import experiments
 from nacflex.cuts import decompose_s, firm_cut_exists, sprime_holds, stable_cut_exists
-from nacflex.errors import PreconditionError
+from nacflex.errors import DEFAULT_NODE_BUDGET, PreconditionError
 from nacflex.experiments import (
     HittingResult,
     HittingRow,
@@ -174,13 +175,71 @@ class TestSweep:
         for row in res1.rows:
             assert 0 <= row.successes + row.budget_exceeded <= row.trials
 
-    def test_crn_coupling_is_monotone_per_trial(self):
-        # same uniforms across c values: T outcomes can only improve with c
-        spec = SweepSpec("T", (50,), (0.6, 0.9, 1.2, 1.5), 40, 17)
+    @pytest.mark.parametrize("prop", experiments.PROPERTIES)
+    def test_bisection_matches_a_decision_at_every_c(self, prop):
+        # unsorted, with a duplicate c and a c whose p caps at 1.0
+        n_values = (2, 12, 20) + ((300,) if prop in ("T", "Connected") else ())
+        spec = SweepSpec(prop, n_values, BISECT_GRID, 6, 7)
+        for ni in range(len(n_values)):
+            for trial in range(spec.trials):
+                got = sweep_trial_outcomes(spec, ni, trial)
+                want = [
+                    experiments._decide(prop, n_values[ni], pairs, spec.node_budget)
+                    for pairs in trial_graphs(spec, ni, trial)
+                ]
+                assert [(ok, ran_out) for ok, ran_out, _ in got] == [
+                    (ok, False) for ok in want
+                ]
+
+    def test_budget_rule(self, monkeypatch):
+        # a c counts as exceeded only when its own decision ran out; the rest
+        # are decided, directly or by monotonicity, as at the default budget
+        spec = SweepSpec("S", (20,), BISECT_GRID, 10, 3, node_budget=1)
+        calls = []
+
+        def recording_decide(prop, n, pairs, node_budget):
+            calls.append(len(pairs))
+            return decide(prop, n, pairs, node_budget)
+
+        decide = experiments._decide
+        monkeypatch.setattr(experiments, "_decide", recording_decide)
+        exceeded = decided = 0
         for trial in range(spec.trials):
-            outcomes = [ok for ok, _, _ in sweep_trial_outcomes(spec, 0, trial)]
-            for lo, hi in zip(outcomes, outcomes[1:]):
-                assert hi >= lo
+            calls.clear()
+            got = sweep_trial_outcomes(spec, 0, trial)
+            for (ok, ran_out, _), pairs in zip(got, trial_graphs(spec, 0, trial)):
+                if ran_out:
+                    exceeded += 1
+                    assert not ok and len(pairs) in calls
+                else:
+                    decided += 1
+                    assert ok == decide("S", 20, pairs, DEFAULT_NODE_BUDGET)
+        assert exceeded and decided
+        for row in run_sweep(spec).rows:
+            assert row.successes + row.budget_exceeded <= row.trials
+
+    def test_probe_count(self, monkeypatch):
+        # a k-level grid costs at most ceil(log2(k+1)) decisions, exactly that
+        # many when k + 1 is a power of two: 2 for criterion 8's three c values
+        calls = []
+
+        def counting_decide(*args):
+            calls.append(args)
+            return decide(*args)
+
+        decide = experiments._decide
+        monkeypatch.setattr(experiments, "_decide", counting_decide)
+        grid = (0.5, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.5, 2.0, 3.0)
+        for k in range(1, len(grid) + 1):
+            bound = math.ceil(math.log2(k + 1))
+            spec = SweepSpec("T", (60,), grid[:k], 8, 5)
+            for trial in range(spec.trials):
+                calls.clear()
+                sweep_trial_outcomes(spec, 0, trial)
+                if (k + 1) & k == 0:
+                    assert len(calls) == bound
+                else:
+                    assert len(calls) <= bound
 
     def test_workers_deterministic(self):
         spec = SweepSpec("Connected", (30,), (0.8, 1.2), 12, 5)
@@ -234,6 +293,20 @@ class TestSweep:
         spec = SweepSpec("Connected", (500,), (1.0,), 50, 8)
         res = run_sweep(spec)
         assert res.rows[0].successes / res.rows[0].trials >= 0.99
+
+
+BISECT_GRID = (2.5, 0.6, 1.0, 1.0, 0.8, 1.2, 1.5, 40.0)
+
+
+def trial_graphs(spec: SweepSpec, ni: int, trial: int) -> list[np.ndarray]:
+    """A sweep trial's graph at each c, thresholded from its uniforms one c at a time."""
+    n = spec.n_values[ni]
+    src = RandomSource(spec.master_seed).derive(experiments._TAG_SWEEP, ni, trial)
+    uniforms = src.generator().random(n * (n - 1) // 2)
+    return [
+        pairs_from_indices(n, np.flatnonzero(uniforms < min(c * p_star(n), 1.0)))
+        for c in spec.c_values
+    ]
 
 
 def strip_wall(res: SweepResult):
