@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 import random
@@ -367,7 +368,20 @@ class TestHittingExperiment:
             assert row.budget_exceeded == want["budget_exceeded"]
 
 
+# sha256 of the regular-NAC CSVs, frozen from the checker that flooded every
+# monochromatic component; the rows carry no wall time, so they are exact
+REGULAR_NAC_CSV_SHA256 = {
+    (540, 4, 3, 7): "c441d3e4aa65c3a995637ea5e18a6732626d059abdbde06c9ecaf3e301b18675",
+    (106, 4, 4, 42): "e500f3c7ea12421a90dfe5c448111a8f94ac4150c8ae6b5e9082493e46e4156a",
+}
+
+
 class TestRegularNac:
+    @pytest.mark.parametrize("args", sorted(REGULAR_NAC_CSV_SHA256))
+    def test_csv_matches_frozen_digest(self, args):
+        csv = regular_nac_lower_bound(*args).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == REGULAR_NAC_CSV_SHA256[args]
+
     def test_small_run(self):
         res = regular_nac_lower_bound(106, 4, 4, 42)
         bound = 4**3 - 4**2 + 4 + 1
