@@ -19,15 +19,12 @@ from .graphs import (
 )
 from .nac import (
     Colour,
-    CoverStats,
     EdgeColouring,
     NacEnumeration,
     NacVerdict,
     StableWitness,
     TriangleClasses,
-    bipartite_stable_nac,
     monochromatic_components,
-    monochromatic_cover_stats,
     nac_check,
     nac_check_oracle,
     nac_count,

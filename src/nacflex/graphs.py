@@ -152,8 +152,11 @@ class ComponentLabelling:
         """Number the n vertices by their masks in `component_masks` order."""
         labels = [0] * n
         for i, comp in enumerate(comps):
-            for v in mask_vertices(comp):
-                labels[v] = i
+            if comp & (comp - 1):
+                for v in mask_vertices(comp):
+                    labels[v] = i
+            else:
+                labels[comp.bit_length() - 1] = i
         return cls(tuple(labels), len(comps))
 
     def sets(self) -> tuple[tuple[int, ...], ...]:

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, islice, product
+from itertools import accumulate, chain, compress, islice, product, repeat
+from operator import is_
 from pathlib import Path
 
 from .errors import (
@@ -37,14 +37,12 @@ from .graphs import (
     ComponentLabelling,
     Graph,
     TriangleClasses,
-    as_vertex_set,
     bipartition,
     component_masks,
     components,
     connection_step,
     graph_from_json_dict,
     graph_to_json_dict,
-    is_stable,
     json_int,
     mask_is_stable,
     mask_vertices,
@@ -58,7 +56,6 @@ __all__ = [
     "TriangleClasses",
     "NacEnumeration",
     "StableWitness",
-    "CoverStats",
     "monochromatic_components",
     "nac_check",
     "nac_check_oracle",
@@ -68,8 +65,6 @@ __all__ = [
     "nac_enumerate",
     "nac_count",
     "stable_witnesses",
-    "bipartite_stable_nac",
-    "monochromatic_cover_stats",
     "MAX_WITNESSES",
     "MAX_CYCLE_SPACE_DIM",
 ]
@@ -194,54 +189,82 @@ class StableWitness:
     vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CoverStats:
-    largest_component: int
-    red_sizes: dict[int, int]
-    blue_sizes: dict[int, int]
+class _ColourMasks:
+    """Per colour, the neighbour masks of the subgraph of its edges, read as
+    masks[colour].
 
+    The red masks and `touched`, the set of vertices with a red edge, come
+    from the red edges alone.  The blue masks, `adjacency_masks` with the
+    red bits cleared, cost a pass over all n vertices and are built on first
+    use."""
 
-def _colour_masks(c: EdgeColouring) -> dict[Colour, list[int]]:
-    """Per colour, the neighbour masks of the subgraph of its edges."""
-    g = c.graph
-    red = [0] * g.n
-    for u, v in c.edges_of(Colour.RED):
-        red[u] |= 1 << v
-        red[v] |= 1 << u
-    blue = [a & ~r for a, r in zip(g.adjacency_masks, red)]
-    return {Colour.RED: red, Colour.BLUE: blue}
+    def __init__(self, c: EdgeColouring) -> None:
+        g = c.graph
+        self.adjacency = g.adjacency_masks
+        self.red = red = [0] * g.n
+        red_edges = list(compress(g.edges, map(is_, c.colours, repeat(Colour.RED))))
+        for u, v in red_edges:
+            red[u] |= 1 << v
+            red[v] |= 1 << u
+        self.touched = set(chain.from_iterable(red_edges))
+        self.blue: list[int] | None = None
+
+    def __getitem__(self, colour: Colour) -> list[int]:
+        if colour is Colour.RED:
+            return self.red
+        if self.blue is None:
+            self.blue = [a & ~r for a, r in zip(self.adjacency, self.red)]
+        return self.blue
 
 
 def monochromatic_components(c: EdgeColouring, colour: Colour) -> ComponentLabelling:
     """Components of the subgraph of `colour` edges; untouched vertices are singletons."""
     n = c.graph.n
-    comps = component_masks(_colour_masks(c)[colour], (1 << n) - 1)
+    comps = component_masks(_ColourMasks(c)[colour], (1 << n) - 1)
     return ComponentLabelling.from_masks(n, comps)
 
 
 def nac_check(c: EdgeColouring) -> NacVerdict:
-    """Linear-time NAC decision with failure certificate.
+    """NAC decision with failure certificate.
 
     is_nac iff the colouring is surjective and every edge joins two distinct
-    monochromatic components of the other colour, i.e. no component spans an
-    edge of the other colour.  A failing colouring is scanned in edge order."""
+    monochromatic components of the other colour.  Call a vertex mixed when
+    it has edges of both colours.  An edge inside a component of the other
+    colour joins two mixed vertices: each end has that edge and an edge of
+    the component.  So a colour's edges are tested only when one of them
+    joins two mixed vertices; the other colour's components are then
+    flooded, and each must be stable, on its mixed vertices, in the tested
+    colour's graph.  A stable-cut colouring (red: the edges that meet some
+    components of G - S for a stable S) has no such edge of either colour, so
+    past one pass over the colours its check costs work in the red edges
+    and the mixed vertices only.  A failing colouring is scanned in edge
+    order over the components already flooded."""
     if not c.is_surjective():
         return NacVerdict(False, failure="not-surjective")
     g = c.graph
-    masks = _colour_masks(c)
-    comps = {col: component_masks(masks[col], (1 << g.n) - 1) for col in Colour}
+    masks = _ColourMasks(c)
+    red, adjacency = masks.red, masks.adjacency
+    mixed = [v for v in masks.touched if adjacency[v] != red[v]]
+    within = sum(1 << v for v in mixed)
+    # per colour, the components of the other colour that its edges may lie in
+    comps = {}
+    if any(red[v] & within for v in mixed):
+        comps[Colour.RED] = component_masks(masks[Colour.BLUE], (1 << g.n) - 1)
+    if any((adjacency[v] ^ red[v]) & within for v in mixed):
+        comps[Colour.BLUE] = component_masks(red, (1 << g.n) - 1)
     if all(
-        mask_is_stable(masks[col.other], comp)
-        for col in Colour
-        for comp in comps[col]
-        if comp & (comp - 1)
+        mask_is_stable(masks[col], s)
+        for col, cs in comps.items()
+        for s in map(within.__and__, cs)
+        if s & (s - 1)
     ):
         return NacVerdict(True)
-    labels = {
-        col: ComponentLabelling.from_masks(g.n, cs).labels for col, cs in comps.items()
-    }
+    # an untested colour's edges cannot fail: range(n) labels each vertex alone
+    labels = {Colour.RED: range(g.n), Colour.BLUE: range(g.n)}
+    for col, cs in comps.items():
+        labels[col] = ComponentLabelling.from_masks(g.n, cs).labels
     for (u, v), col in zip(g.edges, c.colours):
-        other = labels[col.other]
+        other = labels[col]
         if other[u] == other[v]:
             path = _monochromatic_path(masks[col.other], u, v)
             return NacVerdict(
@@ -252,7 +275,8 @@ def nac_check(c: EdgeColouring) -> NacVerdict:
 
 def _monochromatic_path(masks: list[int], start: int, goal: int) -> tuple[int, ...]:
     """A shortest start-goal path in the graph of the neighbour masks `masks`,
-    by a breadth-first search that takes neighbours in increasing order."""
+    by a breadth-first search that takes neighbours in increasing order and
+    stops once it reaches goal: later vertices do not change goal's parent."""
     parent = {start: -1}
     queue = [start]
     for u in queue:
@@ -260,6 +284,8 @@ def _monochromatic_path(masks: list[int], start: int, goal: int) -> tuple[int, .
             if w not in parent:
                 parent[w] = u
                 queue.append(w)
+        if goal in parent:
+            break
     path = [goal]
     while path[-1] != start:
         path.append(parent[path[-1]])
@@ -589,35 +615,3 @@ def _qualifying_parts(g: Graph, h: Graph) -> list[list[tuple[int, ...]]]:
         qualifying = [p for p in halves if all(h.degree(v) == g.degree(v) for v in p)]
         choices.append(sorted(qualifying, key=lambda p: p[0] == comp[0]))
     return choices
-
-
-def bipartite_stable_nac(g: Graph, s: list[int] | tuple[int, ...]) -> EdgeColouring:
-    """Colour edges meeting the stable set s red, the rest blue.
-
-    Requires g bipartite, s stable, s meeting at least one edge and not being
-    a vertex cover; the result is a stable NAC-colouring witnessed by s.
-    """
-    if not bipartition(g).is_bipartite:
-        raise PreconditionError("graph is not bipartite")
-    s_t = as_vertex_set(g, s)
-    if not is_stable(g, s_t):
-        raise PreconditionError("set is not stable")
-    s_set = set(s_t)
-    meeting = [e for e in g.edges if e[0] in s_set or e[1] in s_set]
-    if not meeting:
-        raise PreconditionError("set meets no edge")
-    if len(meeting) == g.m:
-        raise PreconditionError("set is a vertex cover")
-    return EdgeColouring.from_red_edges(g, meeting)
-
-
-def monochromatic_cover_stats(c: EdgeColouring) -> CoverStats:
-    """Largest monochromatic component vertex count and per-colour size histograms."""
-    masks = _colour_masks(c)
-    full = (1 << c.graph.n) - 1
-    sizes = {
-        col: Counter(comp.bit_count() for comp in component_masks(masks[col], full))
-        for col in Colour
-    }
-    largest = max(chain(*sizes.values()), default=0)
-    return CoverStats(largest, dict(sizes[Colour.RED]), dict(sizes[Colour.BLUE]))

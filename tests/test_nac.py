@@ -5,12 +5,20 @@ import sys
 import tracemalloc
 from itertools import islice, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nacflex.graphs
 import nacflex.nac
-from nacflex.cuts import decompose_s, stable_cut_exists
+from nacflex.cuts import (
+    decompose_s,
+    stable_cut_exists,
+    stable_cut_exists_exhaustive,
+    stable_cut_to_nac,
+)
 from nacflex.errors import DEFAULT_NODE_BUDGET, BudgetExceeded, PreconditionError
 from nacflex.graphs import (
     Graph,
@@ -25,9 +33,7 @@ from nacflex.nac import (
     MAX_WITNESSES,
     Colour,
     EdgeColouring,
-    bipartite_stable_nac,
     monochromatic_components,
-    monochromatic_cover_stats,
     nac_check,
     nac_check_oracle,
     nac_count,
@@ -150,6 +156,82 @@ class TestNacCheck:
                     c.colour_of(a, b) is off.other
                     for a, b in zip(verdict.path, verdict.path[1:])
                 )
+
+
+def draw_graph(data, n_max: int = 9, m_max: int = 11) -> Graph:
+    """A graph on 1..n_max vertices with at most m_max edges, so the
+    oracle's cycle space has dimension at most m_max."""
+    n = data.draw(st.integers(1, n_max))
+    pool = all_pairs(n)
+    return Graph.from_edges(
+        n, data.draw(st.lists(st.sampled_from(pool), max_size=m_max)) if pool else []
+    )
+
+
+def first_failing_edge(c: EdgeColouring) -> tuple[int, int] | None:
+    """The first edge in edge order whose ends share a monochromatic
+    component of the other colour."""
+    labels = {col: monochromatic_components(c, col.other).labels for col in Colour}
+    for (u, v), col in zip(c.graph.edges, c.colours):
+        if labels[col][u] == labels[col][v]:
+            return (u, v)
+    return None
+
+
+def assert_verdict_agrees(c: EdgeColouring) -> None:
+    """nac_check agrees with the cycle-definition oracle, and a failing
+    verdict names the first failing edge with an other-colour path."""
+    verdict = nac_check(c)
+    assert verdict.is_nac == nac_check_oracle(c)
+    if verdict.failure == "almost-monochromatic-cycle":
+        assert verdict.edge == first_failing_edge(c)
+        u, v = verdict.edge
+        off = c.colour_of(u, v).other
+        assert verdict.path[0] == u and verdict.path[-1] == v
+        assert all(c.colour_of(a, b) is off for a, b in zip(verdict.path, verdict.path[1:]))
+    elif verdict.is_nac:
+        assert first_failing_edge(c) is None
+
+
+class TestMixedVertices:
+    """nac_check tests a colour's edges only when one joins two mixed
+    vertices (vertices with edges of both colours)."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_stable_cut_colourings(self, data):
+        g = draw_graph(data)
+        cert = stable_cut_exists_exhaustive(g)
+        if cert is None:
+            return
+        try:
+            c = stable_cut_to_nac(g, cert)
+        except PreconditionError:  # the chosen component meets no or every edge
+            return
+        # no edge joins two mixed vertices, so no component is flooded
+        with mock.patch.object(nacflex.nac, "component_masks", side_effect=AssertionError):
+            assert nac_check(c).is_nac
+        assert_verdict_agrees(c)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_star_colourings(self, data):
+        g = draw_graph(data)
+        centres = set(data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n)))
+        red = [e for e in g.edges if centres.intersection(e)]
+        assert_verdict_agrees(EdgeColouring.from_red_edges(g, red))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_colourings_with_forced_vertices(self, data):
+        # an edge at a forced vertex takes the colour of its first forced end
+        g = draw_graph(data)
+        forced = data.draw(st.dictionaries(st.integers(0, g.n - 1), st.sampled_from(Colour)))
+        cols = []
+        for u, v in g.edges:
+            col = forced.get(u, forced.get(v))
+            cols.append(data.draw(st.sampled_from(Colour)) if col is None else col)
+        assert_verdict_agrees(EdgeColouring(g, tuple(cols)))
 
 
 class TestOracle:
@@ -611,74 +693,6 @@ class TestStableWitnesses:
             ws = stable_witnesses(c, mode="first")
             if {w.side for w in ws} == {Colour.RED, Colour.BLUE}:
                 assert bipartition(g).is_bipartite
-
-
-class TestBipartiteStableNac:
-    def test_c4(self):
-        c = bipartite_stable_nac(cycle_graph(4), [0])
-        assert c.edges_of(Colour.RED) == ((0, 1), (0, 3))
-        assert nac_check(c).is_nac
-        got = {(w.side.value, w.vertices) for w in stable_witnesses(c, mode="all")}
-        assert ("red", (0,)) in got
-
-    def test_k22(self):
-        c = bipartite_stable_nac(complete_bipartite(2, 2), [0])
-        assert c.edges_of(Colour.RED) == ((0, 2), (0, 3))
-        assert nac_check(c).is_nac
-
-    def test_not_bipartite(self):
-        with pytest.raises(PreconditionError, match="not bipartite"):
-            bipartite_stable_nac(complete_graph(3), [0])
-
-    def test_not_stable(self):
-        with pytest.raises(PreconditionError, match="not stable"):
-            bipartite_stable_nac(cycle_graph(4), [0, 1])
-
-    def test_meets_no_edge(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        with pytest.raises(PreconditionError, match="meets no edge"):
-            bipartite_stable_nac(g, [2])
-
-    def test_vertex_cover(self):
-        with pytest.raises(PreconditionError, match="vertex cover"):
-            bipartite_stable_nac(cycle_graph(4), [0, 2])
-
-    def test_random_bipartite(self):
-        rnd = random.Random(30)
-        checked = 0
-        while checked < 300:
-            g = random_graph(rnd, 2, 8)
-            res = bipartition(g)
-            if not res.is_bipartite:
-                continue
-            s = [v for v in res.parts[0] if rnd.random() < 0.5]
-            s_set = set(s)
-            meets = sum(1 for u, v in g.edges if u in s_set or v in s_set)
-            if not (0 < meets < g.m):
-                continue
-            c = bipartite_stable_nac(g, s)
-            assert nac_check(c).is_nac
-            assert stable_witnesses(c)
-            checked += 1
-
-
-class TestCoverStats:
-    def test_all_blue_k4(self):
-        c = EdgeColouring.from_red_edges(complete_graph(4), [])
-        stats = monochromatic_cover_stats(c)
-        assert stats.largest_component == 4
-        assert stats.blue_sizes == {4: 1}
-        assert stats.red_sizes == {1: 4}
-
-    def test_c4_alternating(self):
-        c = EdgeColouring.from_red_edges(cycle_graph(4), [(0, 1), (2, 3)])
-        assert monochromatic_cover_stats(c).largest_component == 2
-
-    def test_paper_graph(self):
-        g, ids = paper_graph()
-        c = EdgeColouring.from_red_edges(g, [(ids["v"], ids["x"]), (ids["w"], ids["x"])])
-        stats = monochromatic_cover_stats(c)
-        assert stats.largest_component == 3
 
 
 # -- frozen verdicts ------------------------------------------------------------
