@@ -58,11 +58,12 @@ __all__ = [
 
 PROPERTIES = ("T", "S", "Sprime", "N", "NoStableCut", "Connected")
 
-# T and Connected: one trial holds C(n,2) float64 uniforms; at n = 16,000
-# a three-c trial peaks at 1.14 GB RSS (README, "Scale defaults")
+# T and Connected: one trial holds the edges below its largest level, O(n^2 p);
+# at n = 32,000 a three-c trial took about 3 s and 330 MB RSS (README, "Scale
+# defaults")
 N_CEILINGS = {
-    "T": 16_000,
-    "Connected": 16_000,
+    "T": 32_000,
+    "Connected": 32_000,
     "S": 60,
     "Sprime": 60,
     "NoStableCut": 60,
@@ -86,7 +87,13 @@ _CHUNK_EDGES = 4096
 # Not triangle_apexes: at n=2000 and c=1.3 (40k edges, 2-vCPU VM) this bitset
 # took 7 ms, a Graph and its apexes 64 ms.
 def triangle_covered(n: int, pairs: np.ndarray) -> bool:
-    """True iff every vertex lies in a triangle (vectorised bitset check)."""
+    """True iff every vertex lies in a triangle (vectorised bitset check).
+
+    An edge is tested only while one of its ends is uncovered, which loses no
+    vertex: the triangle edges of an uncovered vertex are all still tested.
+    The passes stride over the edges, so each reaches every part of a sorted
+    edge list, and the check returns once every vertex is covered.
+    """
     if n == 0:
         return True
     if len(pairs) == 0:
@@ -98,14 +105,19 @@ def triangle_covered(n: int, pairs: np.ndarray) -> bool:
     ones = np.ones(len(u), dtype=np.uint64)
     np.bitwise_or.at(bits, (u, v >> 6), np.left_shift(ones, (v & 63).astype(np.uint64)))
     np.bitwise_or.at(bits, (v, u >> 6), np.left_shift(ones, (u & 63).astype(np.uint64)))
-    # a chunk of edges at a time: all m rows at once take m * n/64 words twice
-    tri_edge = np.empty(len(u), dtype=bool)
-    for lo in range(0, len(u), _CHUNK_EDGES):
-        rows = slice(lo, lo + _CHUNK_EDGES)
-        tri_edge[rows] = (bits[u[rows]] & bits[v[rows]]).any(axis=1)
+    # about _CHUNK_EDGES rows a pass: all m rows at once take m * n/64 words twice
+    passes = -(-len(u) // _CHUNK_EDGES)
     covered = np.zeros(n, dtype=bool)
-    covered[pairs[tri_edge].ravel()] = True
-    return bool(covered.all())
+    for first in range(passes):
+        pu, pv = u[first::passes], v[first::passes]
+        needed = ~(covered[pu] & covered[pv])
+        pu, pv = pu[needed], pv[needed]
+        tri = (bits[pu] & bits[pv]).any(axis=1)
+        covered[pu[tri]] = True
+        covered[pv[tri]] = True
+        if covered.all():
+            return True
+    return False
 
 
 def _decide(prop: str, n: int, pairs: np.ndarray, node_budget: int) -> bool:
@@ -217,6 +229,28 @@ class SweepResult(_Table):
     CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
+_CHUNK_DRAWS = 1 << 16
+
+
+def _edges_below(src: RandomSource, n: int, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, weights): the pair indices in [0, C(n,2)) whose uniform is below
+    `level`, in increasing order, and those uniforms.
+
+    One uniform per pair from `src`'s generator, drawn _CHUNK_DRAWS at a
+    time: successive `random(k)` calls continue one stream, so the chunks are
+    one `random(C(n,2))` call's values without its C(n,2) floats in memory.
+    """
+    rng = src.generator()
+    total = n * (n - 1) // 2
+    idx, weights = [], []
+    for lo in range(0, total, _CHUNK_DRAWS):
+        chunk = rng.random(min(_CHUNK_DRAWS, total - lo))
+        below = np.flatnonzero(chunk < level)
+        idx.append(below + lo)
+        weights.append(chunk[below])
+    return np.concatenate(idx), np.concatenate(weights)
+
+
 def sweep_trial_outcomes(
     spec: SweepSpec, n_index: int, trial: int
 ) -> list[tuple[bool, bool, float]]:
@@ -227,21 +261,19 @@ def sweep_trial_outcomes(
     p and every property in PROPERTIES is monotone under edge addition, so
     the trial bisects its distinct levels: a level that holds settles every
     level above it, one that fails every level below it.  Each decision gets
-    the edges below its level from one thresholded list.  After a decision
-    runs out of budget, that level is reported exceeded and the remaining
-    unsettled levels are decided one at a time in increasing p.  A c settled
-    without a decision of its own reports 0.0 seconds; a decision's seconds
-    go to the first c of its level.
+    the edges below its level from the edges below the largest level, which
+    `_edges_below` draws in chunks, so the trial never holds all C(n,2)
+    uniforms.  After a decision runs out of budget, that level is reported
+    exceeded and the remaining unsettled levels are decided one at a time in
+    increasing p.  A c settled without a decision of its own reports 0.0
+    seconds; a decision's seconds go to the first c of its level.
     """
     n = spec.n_values[n_index]
     src = RandomSource(spec.master_seed).derive(_TAG_SWEEP, n_index, trial)
-    uniforms = src.generator().random(n * (n - 1) // 2)
     base = p_star(n)
     ps = [min(c * base, 1.0) for c in spec.c_values]
     levels = sorted(set(ps))
-    idx = np.flatnonzero(uniforms < levels[-1])
-    weights = uniforms[idx]
-    del uniforms  # most of a trial's memory, and no decision reads it
+    idx, weights = _edges_below(src, n, levels[-1])
     pairs = pairs_from_indices(n, idx)
     decided: dict[int, tuple[bool, bool, float]] = {}
     lo, hi = 0, len(levels)  # levels[:lo] fail and levels[hi:] hold

@@ -113,6 +113,12 @@ class TestSpecValidation:
             spec.validate()
         spec.validate(force=True)
 
+    def test_triangle_cover_ceiling(self):
+        spec = SweepSpec("T", (32_001,), (1.0,), 1, 1)
+        with pytest.raises(PreconditionError, match="ceiling 32000"):
+            spec.validate()
+        spec.validate(force=True)
+
 
 class TestFastChecks:
     def test_triangle_covered_matches_graph_core(self):
@@ -145,6 +151,46 @@ class TestFastChecks:
         tri = [(a, b) for t in range(0, n, 3) for a, b in ((t, t + 1), (t, t + 2), (t + 1, t + 2))]
         assert triangle_covered(n, np.array(tri, dtype=np.int64))
         assert not triangle_covered(n, np.array(tri[:-1], dtype=np.int64))
+
+    def test_triangle_covered_reads_the_last_pass(self):
+        # chunk + 4 disjoint triangles and a vertex x joined to one vertex of
+        # each of three of them; x's edges sit in the last of four strided
+        # passes, after their other ends are covered
+        chunk = experiments._CHUNK_EDGES
+        t = chunk + 4
+        tri = [(a, b) for s in range(0, 3 * t, 3) for a, b in ((s, s + 1), (s, s + 2), (s + 1, s + 2))]
+        x = 3 * t
+        edges = tri[:3] + [(0, x)] + tri[3:6] + [(3, x)] + tri[6:9] + [(6, x)] + tri[9:]
+        assert len(edges) > 3 * chunk and -(-len(edges) // chunk) == 4
+        assert [i % 4 for i, e in enumerate(edges) if x in e] == [3, 3, 3]
+        for extra in ([], [(0, 3)]):
+            pairs = np.array(edges + extra, dtype=np.int64)
+            want = every_vertex_in_triangle(Graph.from_edges(x + 1, pairs.tolist()))[0]
+            assert triangle_covered(x + 1, pairs) == want == bool(extra)
+
+    def test_triangle_covered_over_several_passes(self):
+        # dense random graphs of 5k-20k edges, some with a vertex x whose
+        # three neighbours are pairwise non-adjacent, in sorted and in
+        # shuffled edge order
+        rng = np.random.default_rng(53)
+        seen = set()
+        for case in range(16):
+            n = int(rng.integers(150, 301))
+            total = n * (n - 1) // 2
+            m = int(rng.integers(5000, min(20_000, total) + 1))
+            idx = rng.choice(total, m, replace=False)
+            edges = set(map(tuple, pairs_from_indices(n, idx).tolist()))
+            if case % 2:
+                x, *nbrs = rng.choice(n, 4, replace=False).tolist()
+                edges = {e for e in edges if x not in e and not set(e) <= set(nbrs)}
+                edges |= {tuple(sorted((x, w))) for w in nbrs}
+            pairs = np.array(sorted(edges), dtype=np.int64)
+            assert len(pairs) > experiments._CHUNK_EDGES
+            want = every_vertex_in_triangle(Graph.from_edges(n, pairs.tolist()))[0]
+            seen.add(want)
+            assert triangle_covered(n, pairs) == want
+            assert triangle_covered(n, rng.permutation(pairs)) == want
+        assert seen == {True, False}
 
     def test_connected_matches_components(self):
         # connection_step is the first prefix with one component, or None
@@ -241,6 +287,32 @@ class TestSweep:
                     assert len(calls) == bound
                 else:
                     assert len(calls) <= bound
+
+    @pytest.mark.parametrize("n, chunk", [(300, None), (700, None), (50, 7), (50, 64), (50, 1225)])
+    def test_edges_below_matches_one_draw(self, monkeypatch, n, chunk):
+        # n = 300 fits one chunk and n = 700 (244,650 pairs) ends in a partial
+        # one; at n = 50, 1225 = 175 * 7 pairs fill their chunks exactly
+        if chunk is not None:
+            monkeypatch.setattr(experiments, "_CHUNK_DRAWS", chunk)
+        src = RandomSource(11).derive(experiments._TAG_SWEEP, 0, 3)
+        uniforms = src.generator().random(n * (n - 1) // 2)
+        for level in (0.0, 0.05, 0.5, 1.0):
+            idx, weights = experiments._edges_below(src, n, level)
+            want = np.flatnonzero(uniforms < level)
+            assert np.array_equal(idx, want)
+            assert np.array_equal(weights, uniforms[want])
+
+    def test_trial_memory_at_n3000(self):
+        # drawing all C(n,2) uniforms at once held 36 MB of floats and 4.5 MB
+        # of mask; the chunked draw holds one chunk and the kept edges
+        spec = SweepSpec("T", (3000,), (0.8, 1.0, 1.3), 1, 7)
+        tracemalloc.start()
+        try:
+            sweep_trial_outcomes(spec, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_workers_deterministic(self):
         spec = SweepSpec("Connected", (30,), (0.8, 1.2), 12, 5)
