@@ -402,11 +402,13 @@ def stable_cut_to_nac(g: Graph, cert: CutCertificate) -> EdgeColouring:
     if not candidates:
         raise PreconditionError("no edge is incident to any component (no red edge)")
     a = min(candidates, key=lambda c: (len(c), min(c)))
-    a_set = set(a)
-    red = [e for e in g.edges if e[0] in a_set or e[1] in a_set]
-    if len(red) == g.m:
+    red = 0
+    for v in a:
+        for w in g.adjacency[v]:
+            red |= 1 << g.index_of(v, w)
+    if red == (1 << g.m) - 1:
         raise PreconditionError("every edge meets the chosen component (no blue edge)")
-    return EdgeColouring.from_red_edges(g, red)
+    return EdgeColouring(g, red)
 
 
 # -- exhaustive oracles (tests; n <= ~20) --------------------------------------

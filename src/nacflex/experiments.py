@@ -496,12 +496,15 @@ def _regular_nac_trial(n: int, k: int, trial: int, master_seed: int) -> RegularN
                 if mask and mask not in seen:
                     seen.add(mask)
                     subsets.append(mask)
+    # each centre's star as an edge mask; a colouring ORs its subset's stars
+    stars = [sum(1 << g.index_of(x, w) for w in g.adjacency[x]) for x in s_set]
     failures = 0
     for mask in subsets:
-        chosen = (x for i, x in enumerate(s_set) if mask >> i & 1)
-        red = [(x, w) for x in chosen for w in g.adjacency[x]]
-        c = EdgeColouring.from_red_edges(g, red)
-        if not nac_check(c).is_nac:
+        red = 0
+        for i, star in enumerate(stars):
+            if mask >> i & 1:
+                red |= star
+        if not nac_check(EdgeColouring(g, red)).is_nac:
             failures += 1
     return RegularNacRow(trial, len(x_set), len(s_set), len(subsets), failures, rejects)
 

@@ -232,11 +232,13 @@ def component_masks(masks: Sequence[int], within: int) -> list[int]:
 
 
 def mask_vertices(mask: int) -> tuple[int, ...]:
-    """The vertices of a vertex mask, in increasing order."""
+    """The set bits of a mask in increasing order: the vertices of a vertex
+    mask, or the edge indices of an edge mask."""
     out = []
     while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, islice, product, repeat
-from operator import is_
+from itertools import accumulate, chain, compress, islice, product
 from pathlib import Path
 
 from .errors import (
@@ -89,53 +89,68 @@ class Colour(str, Enum):
 
 @dataclass(frozen=True)
 class EdgeColouring:
-    """Total red/blue assignment over a graph's edge indices."""
+    """Total red/blue assignment over a graph's edge indices, held as the
+    edge mask of its red edges: bit i is set when `graph.edges[i]` is red,
+    and every other edge is blue.
+
+    Building a colouring from its red edges, testing surjectivity and
+    swapping cost work in the red edges or a few m-bit integer operations,
+    not a pass over all m edges.  `colours`, the per-edge tuple, is derived
+    on first use; `from_colours` builds a colouring from such a sequence."""
 
     graph: Graph
-    colours: tuple[Colour, ...]
+    red_mask: int
 
     def __post_init__(self) -> None:
-        if len(self.colours) != self.graph.m:
+        mask = self.red_mask
+        if type(mask) is not int or mask < 0 or mask >> self.graph.m:
             raise ValueError(
-                f"colouring has {len(self.colours)} entries for {self.graph.m} edges"
+                f"red_mask must be an int in [0, 2**{self.graph.m}), got {mask!r}; "
+                "EdgeColouring.from_colours takes a colour sequence"
             )
-        # entries are tested by identity (`is Colour.RED`), so "red" becomes
-        # Colour.RED; the searches' colourings pass with the type test alone
-        if not set(map(type, self.colours)) <= {Colour}:
-            object.__setattr__(self, "colours", tuple(map(Colour, self.colours)))
+
+    @classmethod
+    def from_colours(cls, g: Graph, colours: Iterable[Colour | str]) -> "EdgeColouring":
+        """The colouring with colours[i] on g.edges[i]; "red" and "blue"
+        stand for the two colours."""
+        cols = tuple(map(Colour, colours))
+        if len(cols) != g.m:
+            raise ValueError(f"colouring has {len(cols)} entries for {g.m} edges")
+        bits = "".join("1" if col is Colour.RED else "0" for col in reversed(cols))
+        return cls(g, int("0" + bits, 2))
 
     @classmethod
     def from_red_edges(cls, g: Graph, red: list[tuple[int, int]] | set) -> "EdgeColouring":
         index = g.edge_index
-        cols = [Colour.BLUE] * g.m
+        mask = 0
         for u, v in red:
             i = index.get((u, v) if u < v else (v, u))
             if i is None:
                 raise ValueError(f"({u}, {v}) is not an edge of the graph")
-            cols[i] = Colour.RED
-        return cls(g, tuple(cols))
+            mask |= 1 << i
+        return cls(g, mask)
+
+    def _bits(self) -> str:
+        """Per edge in edge order, "1" when it is red and "0" when blue."""
+        return bin(self.red_mask | 1 << self.graph.m)[:2:-1]
 
     @cached_property
-    def red_mask(self) -> int:
-        mask = 0
-        for i, col in enumerate(self.colours):
-            if col is Colour.RED:
-                mask |= 1 << i
-        return mask
+    def colours(self) -> tuple[Colour, ...]:
+        return tuple(map(_COLOUR_OF_BIT.__getitem__, self._bits()))
 
     def edges_of(self, colour: Colour) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            e for e, col in zip(self.graph.edges, self.colours) if col is colour
-        )
+        bit = "1" if colour is Colour.RED else "0"
+        return tuple(compress(self.graph.edges, map(bit.__eq__, self._bits())))
 
     def colour_of(self, u: int, v: int) -> Colour:
-        return self.colours[self.graph.index_of(u, v)]
+        red = self.red_mask >> self.graph.index_of(u, v) & 1
+        return Colour.RED if red else Colour.BLUE
 
     def is_surjective(self) -> bool:
-        return Colour.RED in self.colours and Colour.BLUE in self.colours
+        return 0 < self.red_mask < (1 << self.graph.m) - 1
 
     def swapped(self) -> "EdgeColouring":
-        return EdgeColouring(self.graph, tuple(c.other for c in self.colours))
+        return EdgeColouring(self.graph, self.red_mask ^ (1 << self.graph.m) - 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,6 +165,9 @@ class EdgeColouring:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed colouring JSON: {exc!r}") from exc
         return cls.from_red_edges(graph_from_json_dict(graph), red)
+
+
+_COLOUR_OF_BIT = {"0": Colour.BLUE, "1": Colour.RED}
 
 
 def load_colouring(path: str | Path) -> EdgeColouring:
@@ -193,28 +211,34 @@ class _ColourMasks:
     """Per colour, the neighbour masks of the subgraph of its edges, read as
     masks[colour].
 
-    The red masks and `touched`, the set of vertices with a red edge, come
-    from the red edges alone.  The blue masks, `adjacency_masks` with the
-    red bits cleared, cost a pass over all n vertices and are built on first
-    use."""
+    `red` maps each vertex with a red edge to its red neighbour mask; it
+    comes from the set bits of the colouring's red mask alone.  The per-vertex
+    lists cost a pass over all n vertices and are built on first use: a red
+    vertex's red bits are among its `adjacency_masks` bits, so XOR sets them
+    in a zero list and clears them in a copy of `adjacency_masks`."""
 
     def __init__(self, c: EdgeColouring) -> None:
         g = c.graph
+        self.n = g.n
         self.adjacency = g.adjacency_masks
-        self.red = red = [0] * g.n
-        red_edges = list(compress(g.edges, map(is_, c.colours, repeat(Colour.RED))))
-        for u, v in red_edges:
-            red[u] |= 1 << v
-            red[v] |= 1 << u
-        self.touched = set(chain.from_iterable(red_edges))
-        self.blue: list[int] | None = None
+        self.red = red = {}
+        edges = g.edges
+        for i in mask_vertices(c.red_mask):
+            u, v = edges[i]
+            red[u] = red.get(u, 0) | 1 << v
+            red[v] = red.get(v, 0) | 1 << u
+        self.lists: dict[Colour, list[int]] = {}
 
     def __getitem__(self, colour: Colour) -> list[int]:
-        if colour is Colour.RED:
-            return self.red
-        if self.blue is None:
-            self.blue = [a & ~r for a, r in zip(self.adjacency, self.red)]
-        return self.blue
+        if colour not in self.lists:
+            if colour is Colour.RED:
+                masks = [0] * self.n
+            else:
+                masks = list(self.adjacency)
+            for v, r in self.red.items():
+                masks[v] ^= r
+            self.lists[colour] = masks
+        return self.lists[colour]
 
 
 def monochromatic_components(c: EdgeColouring, colour: Colour) -> ComponentLabelling:
@@ -236,22 +260,30 @@ def nac_check(c: EdgeColouring) -> NacVerdict:
     flooded, and each must be stable, on its mixed vertices, in the tested
     colour's graph.  A stable-cut colouring (red: the edges that meet some
     components of G - S for a stable S) has no such edge of either colour, so
-    past one pass over the colours its check costs work in the red edges
-    and the mixed vertices only.  A failing colouring is scanned in edge
-    order over the components already flooded."""
+    its check costs work in the red edges and the mixed vertices only.  A
+    failing colouring is scanned in edge order over the components already
+    flooded."""
     if not c.is_surjective():
         return NacVerdict(False, failure="not-surjective")
     g = c.graph
     masks = _ColourMasks(c)
-    red, adjacency = masks.red, masks.adjacency
-    mixed = [v for v in masks.touched if adjacency[v] != red[v]]
-    within = sum(1 << v for v in mixed)
+    adjacency = masks.adjacency
+    # the mixed vertices, and the vertices that their red and their blue
+    # edges reach: some edge of a colour joins two mixed vertices iff that
+    # colour's reach meets `within`
+    within = red_reach = blue_reach = 0
+    for v, r in masks.red.items():
+        a = adjacency[v]
+        if a != r:
+            within |= 1 << v
+            red_reach |= r
+            blue_reach |= a ^ r
     # per colour, the components of the other colour that its edges may lie in
     comps = {}
-    if any(red[v] & within for v in mixed):
+    if red_reach & within:
         comps[Colour.RED] = component_masks(masks[Colour.BLUE], (1 << g.n) - 1)
-    if any((adjacency[v] ^ red[v]) & within for v in mixed):
-        comps[Colour.BLUE] = component_masks(red, (1 << g.n) - 1)
+    if blue_reach & within:
+        comps[Colour.BLUE] = component_masks(masks[Colour.RED], (1 << g.n) - 1)
     if all(
         mask_is_stable(masks[col], s)
         for col, cs in comps.items()
@@ -437,6 +469,7 @@ def _iter_nac_colourings(g: Graph, node_budget: int):
     size = [1] * (2 * n)
     trail: list[int] = []
     sides = [0] * k
+    every_edge = (1 << g.m) - 1
 
     def fits(cls, side: int, coloured: int) -> bool:
         """Whether class cls can take colour `side`, given the mask of the
@@ -490,10 +523,10 @@ def _iter_nac_colourings(g: Graph, node_budget: int):
             stack.append((depth + 1, 1, len(trail)))
             stack.append((depth + 1, 0, len(trail)))
         elif any(sides):
-            cols = [Colour.RED] * g.m
+            blue = 0
             for e in chain.from_iterable(compress(classes, sides)):
-                cols[e] = Colour.BLUE
-            yield EdgeColouring(g, tuple(cols))
+                blue |= 1 << e
+            yield EdgeColouring(g, every_edge ^ blue)
 
 
 def nac_exists(
@@ -535,7 +568,8 @@ def nac_enumerate(
             complete = False
             del found[cap:]
             break
-    found.sort(key=lambda c: tuple(col.value for col in c.colours))
+    # "0" (blue) sorts before "1" (red), as "blue" before "red"
+    found.sort(key=EdgeColouring._bits)
     return NacEnumeration(tuple(found), complete)
 
 

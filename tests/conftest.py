@@ -103,6 +103,30 @@ def brute_triangle_classes(g: Graph) -> list[set[int]]:
     return groups
 
 
+def brute_is_nac(g: Graph, red) -> bool:
+    """The NAC definition by path search over edge lists: some edge of each
+    colour, and no edge whose ends a path of the other colour joins."""
+    red = {(min(e), max(e)) for e in red}
+    if not red or len(red) == g.m:
+        return False
+    for u, v in g.edges:
+        side = (u, v) in red
+        adj: dict[int, list[int]] = {}
+        for a, b in g.edges:
+            if ((a, b) in red) != side:
+                adj.setdefault(a, []).append(b)
+                adj.setdefault(b, []).append(a)
+        seen, stack = {u}, [u]
+        while stack:
+            for w in adj.get(stack.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if v in seen:
+            return False
+    return True
+
+
 def brute_stable_witness_sets(g: Graph, colours) -> set[tuple[str, tuple[int, ...]]]:
     """All (side, S) with S stable, non-isolated, edges meeting S exactly the
     side-coloured ones; direct scan over every vertex subset."""

@@ -34,7 +34,6 @@ from nacflex.graphs import (
     triangle_count,
 )
 from nacflex.nac import (
-    Colour,
     EdgeColouring,
     nac_check,
     nac_check_oracle,
@@ -87,13 +86,7 @@ def test_criterion_02_checker_oracle_equivalence():
         for g in iter_labelled_connected(n):
             graphs += 1
             for bits in range(1 << g.m):
-                c = EdgeColouring(
-                    g,
-                    tuple(
-                        Colour.RED if (bits >> i) & 1 else Colour.BLUE
-                        for i in range(g.m)
-                    ),
-                )
+                c = EdgeColouring(g, bits)
                 colourings += 1
                 if nac_check(c).is_nac != nac_check_oracle(c):
                     report(

@@ -47,6 +47,7 @@ from nacflex.randmodels import RandomSource, hitting_times, process, regular_con
 
 from conftest import (
     all_pairs,
+    brute_is_nac,
     brute_stable_witness_sets,
     brute_triangle_classes,
     random_graph,
@@ -69,12 +70,7 @@ def paper_graph_plus_vw():
 
 def all_colourings(g):
     for bits in range(1 << g.m):
-        yield EdgeColouring(
-            g,
-            tuple(
-                Colour.RED if (bits >> i) & 1 else Colour.BLUE for i in range(g.m)
-            ),
-        )
+        yield EdgeColouring(g, bits)
 
 
 class TestMonochromaticComponents:
@@ -129,15 +125,32 @@ class TestNacCheck:
 
     def test_string_colours_are_colours(self):
         g = complete_graph(3)
-        plain = EdgeColouring(g, ("red", "blue", "blue"))
-        enum = EdgeColouring(g, (Colour.RED, Colour.BLUE, Colour.BLUE))
+        plain = EdgeColouring.from_colours(g, ("red", "blue", "blue"))
+        enum = EdgeColouring.from_colours(g, (Colour.RED, Colour.BLUE, Colour.BLUE))
         assert plain == enum and plain.colours == enum.colours
         assert all(type(col) is Colour for col in plain.colours)
         assert nac_check(plain) == nac_check(enum)
         assert nac_check(plain).failure == "almost-monochromatic-cycle"
         assert nac_check_oracle(plain) is nac_check_oracle(enum) is False
         with pytest.raises(ValueError, match="green"):
-            EdgeColouring(g, ("red", "green", "blue"))
+            EdgeColouring.from_colours(g, ("red", "green", "blue"))
+        with pytest.raises(ValueError, match="2 entries for 3 edges"):
+            EdgeColouring.from_colours(g, ("red", "blue"))
+
+    def test_colour_list_is_hashable(self):
+        # a list of colours was once stored as given: it compared unequal to
+        # the tuple and could not be hashed
+        g = complete_graph(3)
+        listed = EdgeColouring.from_colours(g, [Colour.RED, Colour.BLUE, Colour.BLUE])
+        tupled = EdgeColouring.from_colours(g, (Colour.RED, Colour.BLUE, Colour.BLUE))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.red_mask == 1 and listed.colours == tupled.colours
+        assert len({listed, tupled, EdgeColouring.from_red_edges(g, [(0, 1)])}) == 1
+
+    @pytest.mark.parametrize("mask", [[Colour.RED, Colour.BLUE, Colour.BLUE], -1, 8, True])
+    def test_red_mask_out_of_range(self, mask):
+        with pytest.raises(ValueError, match="red_mask"):
+            EdgeColouring(complete_graph(3), mask)
 
     def test_certificate_invariants_random(self):
         rnd = random.Random(21)
@@ -156,6 +169,58 @@ class TestNacCheck:
                     c.colour_of(a, b) is off.other
                     for a, b in zip(verdict.path, verdict.path[1:])
                 )
+
+
+def assert_built_alike(c: EdgeColouring) -> None:
+    """A colouring rebuilt from its colours (members and strings), its red
+    edges, its JSON form and two swaps equals it in every reading."""
+    g = c.graph
+    rebuilt = [
+        EdgeColouring.from_colours(g, list(c.colours)),
+        EdgeColouring.from_colours(g, [col.value for col in c.colours]),
+        EdgeColouring.from_red_edges(g, c.edges_of(Colour.RED)),
+        EdgeColouring.from_json_dict(json.loads(json.dumps(c.to_json_dict()))),
+        c.swapped().swapped(),
+    ]
+    for other in rebuilt:
+        assert other == c and hash(other) == hash(c)
+        assert other.colours == c.colours
+        assert all(other.edges_of(col) == c.edges_of(col) for col in Colour)
+        assert other.to_json_dict() == c.to_json_dict()
+    assert c.colours == tuple(
+        Colour.RED if e in c.edges_of(Colour.RED) else Colour.BLUE for e in g.edges
+    )
+    assert c.swapped().colours == tuple(col.other for col in c.colours)
+    assert c.is_surjective() == (len(set(c.colours)) == 2)
+
+
+class TestConstructions:
+    """Every way of building a colouring gives one value."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_colourings(self, data):
+        g = draw_graph(data)
+        red = data.draw(st.lists(st.sampled_from(g.edges))) if g.edges else []
+        assert_built_alike(EdgeColouring.from_red_edges(g, red))
+
+    def test_search_yields(self):
+        rnd = random.Random(28)
+        for _ in range(60):
+            g = random_graph(rnd, 2, 7)
+            # nac_exists returns the search's first yield; nac_enumerate holds
+            # every yield and its swap
+            found = nac_exists(g)
+            if found is not None:
+                assert_built_alike(found)
+                assert found in nac_enumerate(g).colourings
+            for c in nac_enumerate(g).colourings:
+                assert_built_alike(c)
+
+    def test_graph_without_edges(self):
+        c = EdgeColouring.from_colours(Graph.from_edges(2, []), [])
+        assert c.red_mask == 0 and c.colours == () and not c.is_surjective()
+        assert_built_alike(c)
 
 
 def draw_graph(data, n_max: int = 9, m_max: int = 11) -> Graph:
@@ -215,6 +280,47 @@ class TestMixedVertices:
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
+    def test_red_edge_colourings(self, data):
+        g = draw_graph(data)
+        red = data.draw(st.lists(st.sampled_from(g.edges))) if g.edges else []
+        c = EdgeColouring.from_red_edges(g, red)
+        assert nac_check(c).is_nac == nac_check_oracle(c) == brute_is_nac(g, red)
+        assert_verdict_agrees(c)
+
+    def test_star_check_memory(self):
+        # three red stars at pairwise distance >= 4 with stable
+        # neighbourhoods: building and checking the colouring allocates in
+        # the red edges and the mixed vertices, well below one m-entry
+        # tuple (m = 10,000: 80 KB of pointers) or one n-entry list (40 KB)
+        g, _ = regular_configuration(5000, 4, RandomSource(3))
+        masks = g.adjacency_masks
+        g.edge_index
+        centres, blocked = [], 0
+        for v in range(g.n):
+            if len(centres) == 3:
+                break
+            if (blocked >> v) & 1 or not is_stable(g, g.adjacency[v]):
+                continue
+            centres.append(v)
+            ball = 1 << v
+            for _ in range(3):
+                for w in nacflex.graphs.mask_vertices(ball):
+                    ball |= masks[w]
+            blocked |= ball
+        star = [(x, w) for x in centres for w in g.adjacency[x]]
+        assert len(centres) == 3 and g.m == 10_000
+        tracemalloc.start()
+        try:
+            c = EdgeColouring.from_red_edges(g, star)
+            verdict = nac_check(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.is_nac
+        assert peak < 24_000
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
     def test_star_colourings(self, data):
         g = draw_graph(data)
         centres = set(data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n)))
@@ -231,7 +337,7 @@ class TestMixedVertices:
         for u, v in g.edges:
             col = forced.get(u, forced.get(v))
             cols.append(data.draw(st.sampled_from(Colour)) if col is None else col)
-        assert_verdict_agrees(EdgeColouring(g, tuple(cols)))
+        assert_verdict_agrees(EdgeColouring.from_colours(g, cols))
 
 
 class TestOracle:
@@ -478,7 +584,7 @@ class TestNacEnumerate:
                 for col, members in zip(pick, classes):
                     for e in members:
                         cols[e] = col
-                c = EdgeColouring(g, tuple(cols))
+                c = EdgeColouring.from_colours(g, cols)
                 if nac_check(c).is_nac:
                     expected.add(c.colours)
             got = {c.colours for c in nac_enumerate(g).colourings}
