@@ -195,14 +195,8 @@ def assert_built_alike(c: EdgeColouring) -> None:
 
 
 class TestConstructions:
-    """Every way of building a colouring gives one value."""
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_random_colourings(self, data):
-        g = draw_graph(data)
-        red = data.draw(st.lists(st.sampled_from(g.edges))) if g.edges else []
-        assert_built_alike(EdgeColouring.from_red_edges(g, red))
+    """Every way of building a colouring gives one value (random red-edge
+    colourings: TestMixedVertices.test_red_edge_colourings)."""
 
     def test_search_yields(self):
         rnd = random.Random(28)
@@ -284,6 +278,7 @@ class TestMixedVertices:
         g = draw_graph(data)
         red = data.draw(st.lists(st.sampled_from(g.edges))) if g.edges else []
         c = EdgeColouring.from_red_edges(g, red)
+        assert_built_alike(c)
         assert nac_check(c).is_nac == nac_check_oracle(c) == brute_is_nac(g, red)
         assert_verdict_agrees(c)
 
